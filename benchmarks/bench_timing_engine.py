@@ -9,15 +9,13 @@ CI runner scales both engines alike, but a change that slows the
 columnar engine (or silently disables its drain windows) moves the
 ratio.
 
-The workloads exercise the engine's distinct paths on the ISRF4
-preset: FFT's cross-lane shuffles (calendar returns + fused cross-lane
-arbitration), Filter's dense in-lane indexed traffic (bucketed per-bank
-grants + stall windows), and Sort's long sequential phases (quiet
-windows + event-horizon jumps).
+The workloads exercise the columnar engine's drain windows on the
+ISRF4 preset: FFT's communication-heavy kernels (few windows fire),
+Filter's dense in-lane indexed traffic (stall windows bounded by fill
+dues), and Sort's long sequential phases (quiet windows +
+event-horizon jumps). The calendar ring and the bucketed grant loop
+are shared by both engines (DESIGN.md §4j).
 
-The honest headline (DESIGN.md §4j): per-cell speedups are modest —
-roughly 1.0-1.3x depending on workload — because arbitration and
-functional record movement dominate and are inherent to both engines.
 The gate exists to keep the columnar engine from *regressing* into a
 slowdown, not to certify a large win.
 """

@@ -20,13 +20,15 @@ Checked invariants, mirroring the machine's conservation laws:
   space (occupancy + in-flight ≤ capacity);
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
-  non-negative, each address FIFO's head cache matches a recomputation,
-  and reorder buffers conserve tickets (slots == issued − retired,
-  unfilled slots == live ticket map);
+  non-negative, each address FIFO's head cursor lies inside its head
+  record (and is zero on an empty FIFO), reorder buffers conserve
+  tickets (slots == tickets issued − tickets popped), and each reorder
+  buffer's free-slot counter matches its contents;
 * **crossbars** — address-network port budgets within configured
   bounds, return-network queues plus reservations within queue depth;
-* **completion pipeline** — no in-flight completion is overdue after
-  the cycle's completions drained.
+* **completion pipeline** — the calendar ring's event count matches
+  its buckets, and no completion due at or before the cycle is left on
+  the ring after the cycle's completions drained.
 
 On the first violated invariant a :class:`~repro.errors.SanitizerError`
 carrying a :class:`SanitizerReport` (every violation found that cycle,
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.address_fifo import _STALE
 from repro.errors import SanitizerError
 
 
@@ -148,9 +149,8 @@ class MachineSanitizer:
             queued = 0
             for fifo in stream.fifos:
                 entries = fifo._entries
-                words = sum(len(entry.words) for entry in entries)
-                words -= fifo._head_word
-                queued += words
+                cursor = fifo._cursor
+                queued += sum(len(entry) for entry in entries) - cursor
                 if fifo.occupancy > fifo.capacity:
                     yield (
                         f"indexed stream '{name}' lane {fifo.lane}: "
@@ -158,19 +158,17 @@ class MachineSanitizer:
                         f"{fifo.capacity}"
                     )
                 if entries:
-                    if not 0 <= fifo._head_word < len(entries[0].words):
+                    if not 0 <= cursor < len(entries[0]):
                         yield (
                             f"indexed stream '{name}' lane {fifo.lane}: "
-                            f"head-word counter {fifo._head_word} outside "
-                            f"the {len(entries[0].words)}-word head record"
+                            f"head cursor {cursor} outside the "
+                            f"{len(entries[0])}-word head record"
                         )
-                elif fifo._head_word:
+                elif cursor:
                     yield (
                         f"indexed stream '{name}' lane {fifo.lane}: "
-                        f"head-word counter {fifo._head_word} with an "
-                        "empty FIFO"
+                        f"head cursor {cursor} with an empty FIFO"
                     )
-                yield from self._check_head_cache(name, fifo)
             if queued != stream.pending_words:
                 yield (
                     f"indexed stream '{name}': pending_words counter "
@@ -187,22 +185,6 @@ class MachineSanitizer:
                     yield from self._check_rob(name, lane, rob)
 
     @staticmethod
-    def _check_head_cache(name, fifo):
-        cached = fifo._head_cache
-        if cached is _STALE:
-            return
-        fifo._head_cache = _STALE
-        try:
-            expected = fifo.peek_word()
-        finally:
-            fifo._head_cache = cached
-        if cached != expected:
-            yield (
-                f"indexed stream '{name}' lane {fifo.lane}: stale head "
-                f"cache ({cached} cached, {expected} actual)"
-            )
-
-    @staticmethod
     def _check_rob(name, lane, rob):
         issued = rob._next_ticket - rob._head_ticket
         if len(rob._slots) != issued:
@@ -216,11 +198,11 @@ class MachineSanitizer:
                 f"indexed stream '{name}' lane {lane}: reorder buffer "
                 f"occupancy {rob.occupancy} exceeds capacity {rob.capacity}"
             )
-        unfilled = sum(1 for slot in rob._slots if not slot.valid)
-        if unfilled != len(rob._live):
+        if rob.space != rob.capacity - rob.occupancy:
             yield (
-                f"indexed stream '{name}' lane {lane}: {unfilled} unfilled "
-                f"reorder slots but {len(rob._live)} live tickets"
+                f"indexed stream '{name}' lane {lane}: reorder buffer "
+                f"space counter {rob.space} != "
+                f"{rob.capacity - rob.occupancy} free slots"
             )
 
     def _check_networks(self):
@@ -255,9 +237,19 @@ class MachineSanitizer:
                 )
 
     def _check_pipeline(self, cycle: int):
-        heap = self.srf._in_flight
-        if heap and heap[0][0] <= cycle:
+        srf = self.srf
+        ring = srf._ring
+        events = sum(len(bucket) for bucket in ring)
+        if events != srf._ring_count:
             yield (
-                f"completion pipeline: access due at cycle {heap[0][0]} "
-                f"still in flight after cycle {cycle} drained"
+                f"completion pipeline: ring holds {events} events but "
+                f"counts {srf._ring_count}"
+            )
+        # Live dues span less than one lap of the ring, so an event in
+        # this cycle's bucket is due now and was left behind.
+        overdue = len(ring[cycle % srf._ring_size])
+        if overdue:
+            yield (
+                f"completion pipeline: {overdue} access(es) due at cycle "
+                f"{cycle} still in flight after it drained"
             )

@@ -316,6 +316,12 @@ class MachineConfig:
             )
         if self.words_per_lane_access <= 0:
             raise ConfigurationError("words_per_lane_access must be positive")
+        for name in ("srf_sequential_latency", "inlane_indexed_latency",
+                     "crosslane_indexed_latency"):
+            if getattr(self, name) < 1:
+                # An SRF access completes on a later cycle than its
+                # grant: the completion ring only holds future dues.
+                raise ConfigurationError(f"{name} must be at least 1")
         if self.stream_buffer_words < self.words_per_lane_access:
             raise ConfigurationError(
                 "stream buffers must hold at least one SRF block per lane"

@@ -7,62 +7,21 @@ FIFO breaks each record access into a sequence of single-word accesses,
 compute clusters". The SRF's local arbitration only ever consumes the
 head word access of each FIFO, which is what produces the head-of-line
 blocking studied in Figure 17.
+
+An entry is a record: a tuple of per-word tuples
+``(target_lane, bank_local_addr, ticket, value)``, in word order. Reads
+carry their reorder-buffer ``ticket`` and a ``None`` value; writes carry
+a ``None`` ticket and the word to store. For in-lane streams every target
+lane equals the issuing lane; a cross-lane record striped across banks
+may straddle lanes. The head counter is a cursor into the head entry, so
+no per-word object is built when a word is peeked or granted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from repro.errors import SrfError
-
-
-class RecordAccess:
-    """One record-granular entry of an address FIFO.
-
-    ``words`` lists the record's single-word targets in order as
-    ``(target_lane, bank_local_addr)`` pairs — for in-lane streams every
-    target lane equals the issuing lane, while a cross-lane record
-    striped across banks may straddle lanes. ``tickets`` lists the
-    reorder-buffer tickets the words fill (reads); ``values`` lists the
-    words to store (writes). Exactly one of the two is set.
-    """
-
-    __slots__ = ("words", "tickets", "values")
-
-    def __init__(self, words, tickets=None, values=None):
-        if (tickets is None) == (values is None):
-            raise SrfError("a record access is either a read or a write")
-        payload = tickets if tickets is not None else values
-        if len(payload) != len(words):
-            raise SrfError("one ticket/value per word required")
-        self.words = words  # of (target_lane, bank_local_addr)
-        self.tickets = tickets  # reads
-        self.values = values  # writes
-
-    @property
-    def is_read(self) -> bool:
-        return self.tickets is not None
-
-
-class WordAccess(NamedTuple):
-    """A single-word access peeled off the head of an address FIFO."""
-
-    bank_local_addr: int
-    target_lane: int
-    source_lane: int
-    stream_id: int
-    ticket: "int | None"  # reads: reorder ticket; writes: None
-    value: object  # writes: the word to store; reads: None
-
-    @property
-    def is_read(self) -> bool:
-        return self.ticket is not None
-
-
-#: Sentinel marking the head-word cache as needing recomputation (None is
-#: a valid cached value — it means "FIFO empty").
-_STALE = object()
 
 
 class AddressFifo:
@@ -79,11 +38,8 @@ class AddressFifo:
         self.capacity = capacity_entries
         self.stream_id = stream_id
         self.lane = lane
-        self._entries = deque()
-        self._head_word = 0  # expansion counter at the FIFO head
-        # Arbitration re-peeks blocked heads every cycle, so the head
-        # word access is cached until push/advance/clear move the head.
-        self._head_cache = _STALE
+        self._entries = deque()  # of tuples of per-word tuples
+        self._cursor = 0  # next word of the head entry
 
     @property
     def occupancy(self) -> int:
@@ -97,50 +53,29 @@ class AddressFifo:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def push(self, access: RecordAccess) -> None:
+    def push(self, entry: tuple) -> None:
         """Enqueue a record access (cluster-side)."""
-        if self.is_full:
+        if len(self._entries) >= self.capacity:
             raise SrfError("address FIFO overflow")
-        if not access.words:
+        if not entry:
             raise SrfError("empty record access")
-        if not self._entries:
-            self._head_cache = _STALE  # pushing onto an empty FIFO moves the head
-        self._entries.append(access)
+        self._entries.append(entry)
 
-    def peek_word(self) -> "WordAccess | None":
-        """The head single-word access, or None when the FIFO is empty."""
-        cached = self._head_cache
-        if cached is not _STALE:
-            return cached
-        if not self._entries:
-            word = None
-        else:
-            head = self._entries[0]
-            index = self._head_word
-            target_lane, addr = head.words[index]
-            word = WordAccess(
-                bank_local_addr=addr,
-                target_lane=target_lane,
-                source_lane=self.lane,
-                stream_id=self.stream_id,
-                ticket=head.tickets[index] if head.tickets is not None else None,
-                value=head.values[index] if head.values is not None else None,
-            )
-        self._head_cache = word
-        return word
+    def peek_word(self) -> "tuple | None":
+        """The head word ``(target_lane, bank_local_addr, ticket, value)``,
+        or None when the FIFO is empty."""
+        entries = self._entries
+        if not entries:
+            return None
+        return entries[0][self._cursor]
 
     def advance(self) -> None:
         """Consume the head word access (it was granted this cycle)."""
-        if not self._entries:
+        entries = self._entries
+        if not entries:
             raise SrfError("advance on empty address FIFO")
-        head = self._entries[0]
-        self._head_word += 1
-        if self._head_word >= len(head.words):
-            self._entries.popleft()
-            self._head_word = 0
-        self._head_cache = _STALE
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._head_word = 0
-        self._head_cache = _STALE
+        cursor = self._cursor + 1
+        if cursor == len(entries[0]):
+            entries.popleft()
+            cursor = 0
+        self._cursor = cursor

@@ -5,12 +5,14 @@ arbitration selects either one sequential stream or all indexed streams;
 *local* arbitration in each lane then picks which indexed accesses
 proceed, subject to sub-array conflicts. Section 5.4 notes that a simple
 round-robin scheme is within 10% of complex stall-aware arbiters, so
-round-robin is what both stages use here.
+round-robin is what both stages use here. The per-bank local stage keeps
+one pointer per bank inside the SRF's grant loop
+(:meth:`repro.core.srf.StreamRegisterFile._grant_indexed`): each cycle it
+scans the bank's heads from the pointer (modulo their count) and then
+moves the pointer on by one.
 """
 
 from __future__ import annotations
-
-from repro.errors import SrfError
 
 
 class RoundRobinArbiter:
@@ -43,17 +45,3 @@ class RoundRobinArbiter:
                 self._pointer = position + 1
                 return candidate
         return None
-
-    def rotation(self, count: int) -> list:
-        """Index order for scanning ``count`` items starting at the pointer."""
-        if count < 0:
-            raise SrfError("negative candidate count")
-        if count == 0:
-            return []
-        start = self._pointer % count
-        return [(start + step) % count for step in range(count)]
-
-    def advance(self, count: int) -> None:
-        """Rotate the pointer by one position over ``count`` items."""
-        if count > 0:
-            self._pointer = (self._pointer + 1) % count

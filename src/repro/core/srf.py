@@ -25,12 +25,12 @@ so the timing model and the data model can never diverge.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 
 from repro.config.machine import MachineConfig
-from repro.core.address_fifo import AddressFifo, RecordAccess, WordAccess
+from repro.core.address_fifo import AddressFifo
 from repro.core.arbiter import RoundRobinArbiter
 from repro.core.descriptors import IndexSpace, StreamDescriptor
 from repro.core.geometry import SrfGeometry
@@ -195,7 +195,9 @@ class IndexedStream:
     issuing a record reserves reorder slots so data returns in issue
     order (Figure 9's stall semantics). A write stream's FIFO entries
     carry the data words; ``outstanding_writes`` lets the executor
-    barrier on write drain at kernel end.
+    barrier on write drain at kernel end. FIFO entries are tuples of
+    per-word tuples ``(target_lane, bank_local_addr, ticket, value)``
+    (see :mod:`repro.core.address_fifo`).
     """
 
     #: Reorder-buffer class hook: timing-engine subclasses (see
@@ -224,8 +226,12 @@ class IndexedStream:
         #: so per-cycle arbitration polls are O(1), not O(lanes)).
         self.pending_words = 0
         # Immutable per-stream facts, cached off the hot arbitration path.
+        self.stream_id = descriptor.stream_id
         self.is_crosslane = descriptor.kind.is_crosslane
         self.is_read = descriptor.kind.is_read
+        self.is_write = descriptor.kind.is_write
+        self._record_words = descriptor.record_words
+        self._length_records = descriptor.length_records
         self._local_base = self._compute_local_base()
         self._per_lane_single = (
             descriptor.index_space is IndexSpace.PER_LANE
@@ -243,16 +249,19 @@ class IndexedStream:
         return (base // geometry.block_words) * geometry.words_per_lane_access
 
     # -- address resolution ------------------------------------------------
+    def _check_index(self, record_index: int) -> None:
+        if not 0 <= record_index < self._length_records:
+            raise SrfError(
+                f"{self.descriptor.name}: record index {record_index} out of "
+                f"range [0,{self._length_records})"
+            )
+
     def resolve(self, lane: int, record_index: int) -> list:
         """Word targets ``(target_lane, bank_local_addr)`` of a record."""
-        descriptor = self.descriptor
-        if not 0 <= record_index < descriptor.length_records:
-            raise SrfError(
-                f"{descriptor.name}: record index {record_index} out of "
-                f"range [0,{descriptor.length_records})"
-            )
+        self._check_index(record_index)
         if self._per_lane_single:
             return [(lane, self._local_base + record_index)]
+        descriptor = self.descriptor
         rw = descriptor.record_words
         if descriptor.index_space is IndexSpace.PER_LANE:
             start = self._local_base + record_index * rw
@@ -267,38 +276,54 @@ class IndexedStream:
         if self.fifos[lane].is_full:
             return False
         if self.robs is not None:
-            return self.robs[lane].can_reserve(self.descriptor.record_words)
+            return self.robs[lane].space >= self._record_words
         return True
 
     def issue_read(self, lane: int, record_index: int) -> None:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
-        words = self.resolve(lane, record_index)
-        tickets = [self.robs[lane].reserve() for _ in words]
-        self.fifos[lane].push(RecordAccess(words=words, tickets=tickets))
-        self.pending_words += len(words)
+        fifo = self.fifos[lane]
+        rob = self.robs[lane]
+        if self._per_lane_single:
+            if not 0 <= record_index < self._length_records:
+                self._check_index(record_index)  # raises the precise error
+            fifo.push((
+                (lane, self._local_base + record_index, rob.reserve(), None),
+            ))
+            self.pending_words += 1
+        else:
+            entry = tuple(
+                (target, addr, rob.reserve(), None)
+                for target, addr in self.resolve(lane, record_index)
+            )
+            fifo.push(entry)
+            self.pending_words += len(entry)
         hist = self.srf._addr_fifo_hist
         if hist is not None:
-            hist.record(self.fifos[lane].occupancy)
+            hist.record(fifo.occupancy)
 
     def issue_write(self, lane: int, record_index: int, values) -> None:
         """Enqueue a record write carrying its data words."""
-        if not self.descriptor.kind.is_write:
+        if not self.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
         words = self.resolve(lane, record_index)
         values = list(values)
         if len(values) != len(words):
             raise SrfError(
                 f"{self.descriptor.name}: record needs "
-                f"{self.descriptor.record_words} words"
+                f"{self._record_words} words"
             )
-        self.fifos[lane].push(RecordAccess(words=words, values=values))
+        fifo = self.fifos[lane]
+        fifo.push(tuple(
+            (target, addr, None, value)
+            for (target, addr), value in zip(words, values)
+        ))
         self.pending_words += len(words)
         self.outstanding_writes += len(words)
         hist = self.srf._addr_fifo_hist
         if hist is not None:
-            hist.record(self.fifos[lane].occupancy)
+            hist.record(fifo.occupancy)
 
     def data_ready(self, lane: int) -> bool:
         """Whether the oldest issued record's next word is readable."""
@@ -307,15 +332,17 @@ class IndexedStream:
     def record_ready(self, lane: int) -> bool:
         """Whether a full record (``record_words`` words) is readable."""
         return self.robs is not None and self.robs[lane].head_ready_n(
-            self.descriptor.record_words
+            self._record_words
         )
 
     def pop_record(self, lane: int):
         """Pop one full record; single-word records return the bare word."""
-        words = [
-            self.pop_data(lane) for _ in range(self.descriptor.record_words)
-        ]
-        return words[0] if len(words) == 1 else tuple(words)
+        if self.robs is None:
+            raise SrfError(f"{self.descriptor.name}: write streams have no data")
+        rob = self.robs[lane]
+        if self._record_words == 1:
+            return rob.pop()
+        return tuple(rob.pop() for _ in range(self._record_words))
 
     def pop_data(self, lane: int):
         """Pop the next in-order data word for ``lane``."""
@@ -330,6 +357,25 @@ class IndexedStream:
 
     def pending_addresses(self) -> bool:
         return self.pending_words > 0
+
+
+#: Completion kinds on the SRF's calendar ring; each event is a plain
+#: tuple led by its kind, so scheduling a completion builds no closure.
+#: ``(_FILL, rob, ticket, value)``: an in-lane read lands in its
+#: reorder buffer.
+_FILL = 0
+#: ``(_RETURN, bank, source_lane, ticket, value, stream_id, rob)``: a
+#: cross-lane read joins its bank's return-network queue.
+_RETURN = 1
+#: ``(_RETIRE, stream)``: an indexed write retires.
+_RETIRE = 2
+#: ``(_DELIVER, port, per_lane)``: a sequential block fill lands in its
+#: stream buffer.
+_DELIVER = 3
+
+#: Grant order when a bank sees exactly one head: the rotation and the
+#: occupancy sort both reduce to serving position 0.
+_SINGLE = (0,)
 
 
 class StreamRegisterFile:
@@ -364,7 +410,8 @@ class StreamRegisterFile:
         self._indexed_list = []  # same streams, in registration order
         self._global_arbiter = RoundRobinArbiter()
         self._seq_arbiter = RoundRobinArbiter()
-        self._bank_arbiters = [RoundRobinArbiter() for _ in range(config.lanes)]
+        #: Per-bank round-robin pointers of local indexed arbitration.
+        self._bank_pointers = [0] * config.lanes
         network_cls = (
             RingAddressNetwork if config.crosslane_network == "ring"
             else AddressNetwork
@@ -379,8 +426,19 @@ class StreamRegisterFile:
         # (addresses there were already range-checked at issue time).
         self._subarray_stride = self.geometry.words_per_lane_access
         self._subarray_count = self.geometry.subarrays_per_bank
-        self._in_flight = []  # heap of (due, sequence, action) tuples
-        self._sequence = itertools.count()
+        # Calendar ring of pipelined completions, one bucket per due
+        # cycle. Every due lies 1..max(latency) cycles after the cycle
+        # that scheduled it, so each live due owns its bucket alone and
+        # draining buckets in due order, each in push order, replays
+        # completions in (due, schedule order).
+        self._ring_size = max(
+            config.srf_sequential_latency,
+            config.inlane_indexed_latency,
+            config.crosslane_indexed_latency,
+        ) + 2
+        self._ring = [[] for _ in range(self._ring_size)]
+        self._ring_count = 0  # events on the ring
+        self._ring_floor = 0  # first due cycle not yet drained
         self._comm_busy = False
         # Fault injection (repro.faults); all None/False when disabled so
         # the hot paths pay a single predicated check at most.
@@ -539,13 +597,6 @@ class StreamRegisterFile:
                 self._drops_active = active
                 self.address_network.set_fault_drop(active)
 
-    def filter_word(self, value):
-        """Route one word read from a bank through any armed strike."""
-        injector = self._fault_injector
-        if injector is None or not injector.armed:
-            return value
-        return injector.filter(value)
-
     def filter_words(self, values):
         """Route a flat list of read words through any armed strikes."""
         injector = self._fault_injector
@@ -575,7 +626,10 @@ class StreamRegisterFile:
         self._comm_busy = comm_busy
         if self._faults_enabled:
             self._advance_faults(cycle)
-        self._complete_due(cycle)
+        if self._ring_count:
+            self._complete_due(cycle)
+        else:
+            self._ring_floor = cycle + 1
         self.return_network.tick(comm_busy)
         self._arbitrate(cycle)
 
@@ -592,14 +646,24 @@ class StreamRegisterFile:
         for port in self._seq_ports:
             if port.wants_grant():
                 return cycle
-        for stream in self._indexed.values():
+        for stream in self._indexed_list:
             if stream.pending_words:
                 return cycle
         if self.return_network.pending():
             return cycle
-        if self._in_flight:
-            return self._in_flight[0][0]
+        if self._ring_count:
+            return self._next_due()
         return None
+
+    def _next_due(self) -> int:
+        """Due cycle of the oldest completion on the (non-empty) ring."""
+        ring = self._ring
+        size = self._ring_size
+        floor = self._ring_floor
+        for offset in range(size):
+            if ring[(floor + offset) % size]:
+                return floor + offset
+        raise SrfError("completion ring count out of step with its buckets")
 
     def fast_forward(self, cycles: int) -> None:
         """Account ``cycles`` ticks in bulk across a quiescent window.
@@ -613,17 +677,46 @@ class StreamRegisterFile:
 
     def schedule_fill(self, due: int, port: SequentialPort, per_lane) -> None:
         """Register a pipelined sequential read completion."""
-        self._push_in_flight(due, lambda: port.deliver_fill(per_lane))
-
-    def _push_in_flight(self, due: int, action) -> None:
-        heapq.heappush(
-            self._in_flight, (due, next(self._sequence), action)
-        )
+        if not self._ring_floor <= due < self._ring_floor + self._ring_size:
+            raise SrfError(
+                f"fill due at cycle {due} is outside the completion ring "
+                f"[{self._ring_floor}, {self._ring_floor + self._ring_size})"
+            )
+        self._ring[due % self._ring_size].append((_DELIVER, port, per_lane))
+        self._ring_count += 1
 
     def _complete_due(self, cycle: int) -> None:
-        heap = self._in_flight
-        while heap and heap[0][0] <= cycle:
-            heapq.heappop(heap)[2]()
+        """Apply every completion due at or before ``cycle``, in order
+        (the ring holds at least one event)."""
+        ring = self._ring
+        size = self._ring_size
+        due = self._ring_floor
+        # Live dues all lie in [floor, floor + size), so after a skipped
+        # window one lap of the ring still visits each in due order.
+        last = min(cycle, due + size - 1)
+        enqueue = self.return_network.enqueue
+        while due <= last:
+            slot = due % size
+            bucket = ring[slot]
+            if bucket:
+                # Completions schedule nothing, so the bucket is final.
+                ring[slot] = []
+                for event in bucket:
+                    kind = event[0]
+                    if kind == _FILL:
+                        event[1].fill(event[2], event[3])
+                    elif kind == _RETURN:
+                        enqueue(event[1], event[2], event[3], event[4],
+                                event[5], event[6].fill)
+                    elif kind == _RETIRE:
+                        event[1].outstanding_writes -= 1
+                    else:
+                        event[1].deliver_fill(event[2])
+                self._ring_count -= len(bucket)
+                if not self._ring_count:
+                    break
+            due += 1
+        self._ring_floor = cycle + 1
 
     # ------------------------------------------------------------------
     # Arbitration (two-stage, §4.4)
@@ -635,7 +728,10 @@ class StreamRegisterFile:
         ONE sequential stream or ALL indexed streams, alternating fairly
         between the two classes; a second round-robin picks which
         sequential stream when that class wins."""
-        sequential = [p for p in self._seq_ports if p.wants_grant()]
+        sequential = []
+        for port in self._seq_ports:
+            if port.wants_grant():
+                sequential.append(port)
         indexed_wanted = False
         for s in self._indexed_list:
             if s.pending_words:
@@ -658,117 +754,158 @@ class StreamRegisterFile:
             self.stats.sequential_words += port.on_grant(cycle)
 
     def _grant_indexed(self, cycle: int) -> None:
-        self.stats.indexed_cycles += 1
-        self.address_network.begin_cycle()
-        granted_total = 0
-        blocked_total = 0
-        # Candidate heads per bank: in-lane heads live at their own bank;
-        # cross-lane heads are offered by their source lane to the target
-        # bank of their head word access.
-        streams = self._indexed_list
-        for bank in range(self.geometry.lanes):
-            granted, blocked = self._grant_bank(bank, streams, cycle)
-            granted_total += granted
-            blocked_total += blocked
-        if granted_total == 0:
-            self.stats.empty_indexed_cycles += 1
-        self.stats.blocked_heads += blocked_total
+        """Local arbitration in every bank for one indexed cycle.
 
-    def _grant_bank(self, bank: int, streams, cycle: int) -> tuple:
-        """Local arbitration for one bank; returns (granted, blocked)."""
-        heads = []
+        One pass files each stream's address-FIFO heads into per-bank
+        buckets: an in-lane head at its own bank, a cross-lane head at
+        the bank of its target word. Buckets list heads in (stream
+        registration, lane) order, and each bank grants up to
+        ``_bank_cap`` of them in round-robin (or FIFO-occupancy) order,
+        one per sub-array, cross-lane heads subject to the address and
+        return networks (§4.2, §4.4, §4.5).
+
+        Banks are arbitrated in index order and a grant moves only its
+        own FIFO's head. An in-lane grant at bank ``b`` moves lane
+        ``b``'s FIFO, which no other bank reads. A cross-lane grant can
+        uncover a head that targets a later bank; it is filed into that
+        bank's bucket at its (stream, lane) position, while one that
+        targets this or an earlier bank waits for the next cycle.
+        """
+        stats = self.stats
+        stats.indexed_cycles += 1
+        address_network = self.address_network
+        address_network.begin_cycle()
         lanes = self.geometry.lanes
-        for stream in streams:
-            if not stream.pending_words:
-                continue
-            if stream.is_crosslane:
-                fifos = stream.fifos
-                for lane in range(lanes):
-                    word = fifos[lane].peek_word()
-                    if word is not None and word.target_lane == bank:
-                        heads.append((stream, lane, word))
-            else:
-                word = stream.fifos[bank].peek_word()
-                if word is not None:
-                    heads.append((stream, bank, word))
-        if not heads:
-            return 0, 0
-        used_subarrays = set()
-        granted = 0
-        if self._occupancy_policy:
-            # Stall-aware policy (§5.4): serve the fullest address FIFOs
-            # first — the streams most likely to stall the clusters.
-            order = sorted(
-                range(len(heads)),
-                key=lambda p: -heads[p][0].fifos[heads[p][1]].occupancy,
-            )
-        else:
-            order = self._bank_arbiters[bank].rotation(len(heads))
-        for position in order:
-            stream, lane, word = heads[position]
-            if granted >= self._bank_cap:
-                break
-            subarray = (
-                word.bank_local_addr // self._subarray_stride
-            ) % self._subarray_count
-            if self._bank_cap > 1 and subarray in used_subarrays:
-                continue
-            if stream.is_crosslane:
-                if self._shared_network and self._comm_busy:
-                    continue  # the shared network carries the comm
-                if not self.return_network.bank_has_space(bank):
-                    continue
-                if not self.address_network.try_route(lane, bank):
-                    continue
-                self.return_network.reserve(bank)
-            used_subarrays.add(subarray)
-            stream.fifos[lane].advance()
-            stream.pending_words -= 1
-            self._launch(stream, word, bank, cycle)
-            granted += 1
-        self._bank_arbiters[bank].advance(len(heads))
-        blocked = len(heads) - granted
-        if self._bank_conflicts is not None and blocked:
-            self._bank_conflicts[bank].add(blocked)
-        return granted, blocked
-
-    def _launch(self, stream: IndexedStream, word: WordAccess, bank: int,
-                cycle: int) -> None:
-        """Start the pipelined completion of one granted word access."""
+        buckets = [[] for _ in range(lanes)]
+        position = 0
+        for stream in self._indexed_list:
+            if stream.pending_words:
+                lane = 0
+                if stream.is_crosslane:
+                    for fifo in stream.fifos:
+                        word = fifo.peek_word()
+                        if word is not None:
+                            buckets[word[0]].append(
+                                (position, lane, stream, word)
+                            )
+                        lane += 1
+                else:
+                    for fifo in stream.fifos:
+                        word = fifo.peek_word()
+                        if word is not None:
+                            buckets[lane].append(
+                                (position, lane, stream, word)
+                            )
+                        lane += 1
+            position += 1
         cfg = self.config
-        if word.is_read:
-            value = self.filter_word(
-                self.storage.read_lane(bank, word.bank_local_addr)
-            )
-            if stream.is_crosslane:
-                self.stats.crosslane_grants += 1
-                rob = stream.robs[word.source_lane]
-                due = cycle + max(1, cfg.crosslane_indexed_latency - 1)
-                self._push_in_flight(
-                    due,
-                    lambda: self.return_network.enqueue(
-                        bank, word.source_lane, word.ticket, value,
-                        word.stream_id, rob.fill,
-                    ),
+        bank_cap = self._bank_cap
+        multi_cap = bank_cap > 1
+        stride = self._subarray_stride
+        subarrays = self._subarray_count
+        occupancy_policy = self._occupancy_policy
+        shared_comm = self._shared_network and self._comm_busy
+        return_network = self.return_network
+        pointers = self._bank_pointers
+        conflicts = self._bank_conflicts
+        storage = self.storage
+        injector = self._fault_injector
+        ring = self._ring
+        size = self._ring_size
+        inlane_due = cycle + cfg.inlane_indexed_latency
+        inlane_bucket = ring[inlane_due % size]
+        crosslane_bucket = ring[
+            (cycle + max(1, cfg.crosslane_indexed_latency - 1)) % size
+        ]
+        launched = 0
+        inlane_reads = 0
+        crosslane_reads = 0
+        blocked_total = 0
+        for bank in range(lanes):
+            heads = buckets[bank]
+            if not heads:
+                continue
+            count = len(heads)
+            if count == 1:
+                order = _SINGLE
+            elif occupancy_policy:
+                # Stall-aware policy (§5.4): serve the fullest address
+                # FIFOs first — the streams most likely to stall.
+                order = sorted(
+                    range(count),
+                    key=lambda p: -heads[p][2].fifos[heads[p][1]].occupancy,
                 )
             else:
-                self.stats.inlane_grants += 1
-                rob = stream.robs[word.source_lane]
-                self._push_in_flight(
-                    cycle + cfg.inlane_indexed_latency,
-                    lambda: rob.fill(word.ticket, value),
-                )
-        else:
-            self.stats.indexed_write_grants += 1
-            self.storage.write_lane(bank, word.bank_local_addr, word.value)
-            self._push_in_flight(
-                cycle + cfg.inlane_indexed_latency,
-                lambda: self._retire_write(stream),
-            )
-
-    @staticmethod
-    def _retire_write(stream: IndexedStream) -> None:
-        stream.outstanding_writes -= 1
+                # Round robin: scan from the pointer, wrapping around.
+                start = pointers[bank] % count
+                order = itertools.chain(range(start, count), range(start))
+            used_subarrays = 0
+            granted = 0
+            for index in order:
+                if granted >= bank_cap:
+                    break
+                head = heads[index]
+                word = head[3]
+                addr = word[1]
+                subarray = 1 << ((addr // stride) % subarrays)
+                if multi_cap and used_subarrays & subarray:
+                    continue
+                stream = head[2]
+                lane = head[1]
+                crosslane = stream.is_crosslane
+                if crosslane:
+                    if shared_comm:
+                        continue  # the shared network carries the comm
+                    if not return_network.bank_has_space(bank):
+                        continue
+                    if not address_network.try_route(lane, bank):
+                        continue
+                    return_network.reserve(bank)
+                used_subarrays |= subarray
+                granted += 1
+                fifo = stream.fifos[lane]
+                fifo.advance()
+                stream.pending_words -= 1
+                if crosslane:
+                    uncovered = fifo.peek_word()
+                    if uncovered is not None and uncovered[0] > bank:
+                        insort(buckets[uncovered[0]],
+                               (head[0], lane, stream, uncovered))
+                ticket = word[2]
+                if ticket is None:
+                    storage.write_lane(bank, addr, word[3])
+                    inlane_bucket.append((_RETIRE, stream))
+                    continue
+                value = storage.read_lane(bank, addr)
+                if injector is not None:
+                    value = injector.filter(value)
+                rob = stream.robs[lane]
+                if crosslane:
+                    crosslane_reads += 1
+                    crosslane_bucket.append(
+                        (_RETURN, bank, lane, ticket, value,
+                         stream.stream_id, rob)
+                    )
+                else:
+                    inlane_reads += 1
+                    dues = rob.fill_dues
+                    if dues is not None:
+                        dues[ticket % rob.capacity] = inlane_due
+                    inlane_bucket.append((_FILL, rob, ticket, value))
+            pointers[bank] = (pointers[bank] + 1) % count
+            launched += granted
+            blocked = count - granted
+            if blocked:
+                blocked_total += blocked
+                if conflicts is not None:
+                    conflicts[bank].add(blocked)
+        self._ring_count += launched
+        stats.inlane_grants += inlane_reads
+        stats.crosslane_grants += crosslane_reads
+        stats.indexed_write_grants += launched - inlane_reads - crosslane_reads
+        if launched == 0:
+            stats.empty_indexed_cycles += 1
+        stats.blocked_heads += blocked_total
 
     # ------------------------------------------------------------------
     def occupancy_report(self) -> list:
@@ -809,18 +946,18 @@ class StreamRegisterFile:
 
     def _inflight_lines(self) -> list:
         """Forensic lines about pipelined completions still in flight."""
-        if not self._in_flight:
+        if not self._ring_count:
             return []
         return [
-            f"{len(self._in_flight)} pipelined accesses in flight "
-            f"(next due cycle {self._in_flight[0][0]})"
+            f"{self._ring_count} pipelined accesses in flight "
+            f"(next due cycle {self._next_due()})"
         ]
 
     @property
     def idle(self) -> bool:
         """True when nothing is in flight anywhere in the SRF."""
-        if self._in_flight or self.return_network.pending():
+        if self._ring_count or self.return_network.pending():
             return False
         if any(p.wants_grant() for p in self._seq_ports):
             return False
-        return all(s.quiescent for s in self._indexed.values())
+        return all(s.quiescent for s in self._indexed_list)

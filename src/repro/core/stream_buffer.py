@@ -107,14 +107,9 @@ class LaneFifo:
             fifo.clear()
 
 
-class _Slot:
-    """One reorder-buffer slot: reserved at issue, filled at completion."""
-
-    __slots__ = ("value", "valid")
-
-    def __init__(self):
-        self.value = None
-        self.valid = False
+#: Contents of a reserved reorder-buffer slot whose data has not landed
+#: (word values are arbitrary objects, so None cannot mark it).
+_EMPTY = object()
 
 
 class ReorderBuffer:
@@ -127,55 +122,60 @@ class ReorderBuffer:
     Figure 9: a cluster trying to read data whose access was delayed by a
     sub-array conflict stalls even if younger accesses completed.
 
-    Invariant relied on by the columnar timing engine
-    (:mod:`repro.machine.columnar`): tickets are dense and ascending, so
-    the slot at position ``k`` (oldest first) always holds ticket
-    ``_head_ticket + k``.
+    Tickets are dense and ascending, so the slot of ticket ``t`` sits at
+    position ``t - _head_ticket`` of the slot deque (oldest first); a
+    slot holds ``_EMPTY`` until its fill lands. ``_next_ticket`` is kept
+    as its own counter so the sanitizer can check that the slots match
+    the tickets handed out.
     """
+
+    #: Fill due cycles of in-lane grants, indexed by
+    #: ``ticket % capacity``, or None. Only timing engines that bound
+    #: stalls by due cycles keep one (see :mod:`repro.machine.columnar`);
+    #: the SRF records into it at grant.
+    fill_dues = None
 
     def __init__(self, capacity_words: int):
         if capacity_words <= 0:
             raise SrfError("ReorderBuffer needs positive capacity")
         self.capacity = capacity_words
-        self._slots = deque()  # of _Slot, oldest first
+        self._slots = deque()  # of values or _EMPTY, oldest first
         self._next_ticket = 0
         self._head_ticket = 0
-        self._live = {}  # ticket -> _Slot
+        #: Free slots, kept as a plain attribute so the per-record
+        #: ``can_issue`` poll costs no call.
+        self.space = capacity_words
 
     @property
     def occupancy(self) -> int:
         """Slots currently reserved (filled or not)."""
         return len(self._slots)
 
-    @property
-    def space(self) -> int:
-        return self.capacity - self.occupancy
-
     def can_reserve(self, words: int = 1) -> bool:
         return self.space >= words
 
     def reserve(self) -> int:
         """Reserve the next in-order slot; returns a fill ticket."""
-        if not self.can_reserve():
+        if self.space <= 0:
             raise SrfError("reorder buffer full")
-        slot = _Slot()
-        self._slots.append(slot)
+        self._slots.append(_EMPTY)
+        self.space -= 1
         ticket = self._next_ticket
-        self._live[ticket] = slot
-        self._next_ticket += 1
+        self._next_ticket = ticket + 1
         return ticket
 
     def fill(self, ticket: int, value) -> None:
         """Deposit data for a previously reserved ticket."""
-        slot = self._live.pop(ticket, None)
-        if slot is None:
+        slots = self._slots
+        position = ticket - self._head_ticket
+        if not 0 <= position < len(slots) or slots[position] is not _EMPTY:
             raise SrfError(f"unknown or already-filled ticket {ticket}")
-        slot.value = value
-        slot.valid = True
+        slots[position] = value
 
     def head_ready(self) -> bool:
         """True when the oldest reserved slot has been filled."""
-        return bool(self._slots) and self._slots[0].valid
+        slots = self._slots
+        return bool(slots) and slots[0] is not _EMPTY
 
     def head_ready_n(self, count: int) -> bool:
         """True when the ``count`` oldest reserved slots are all filled.
@@ -183,17 +183,19 @@ class ReorderBuffer:
         Used for multi-word records: the cluster reads a record only once
         every one of its words has returned.
         """
-        if count > len(self._slots):
+        slots = self._slots
+        if count > len(slots):
             return False
-        return all(self._slots[k].valid for k in range(count))
+        for position in range(count):
+            if slots[position] is _EMPTY:
+                return False
+        return True
 
     def pop(self):
         """Pop the oldest slot's value; raises if it is not filled yet."""
-        if not self.head_ready():
+        slots = self._slots
+        if not slots or slots[0] is _EMPTY:
             raise SrfError("reorder buffer head not ready")
         self._head_ticket += 1
-        return self._slots.popleft().value
-
-    def clear(self) -> None:
-        self._slots.clear()
-        self._live.clear()
+        self.space += 1
+        return slots.popleft()

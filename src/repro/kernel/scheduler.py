@@ -7,8 +7,12 @@ the paper (§5.1). The algorithm is classic modulo scheduling:
    unit class, reserved cycles per iteration divided by unit count.
 2. **RecMII** — recurrence-constrained lower bound: the smallest II such
    that every dependence cycle satisfies ``latency_sum <= II *
-   distance_sum``. Found by binary search with Bellman–Ford positive-
-   cycle detection over edges weighted ``latency - II * distance``.
+   distance_sum``. Found by cycle-ratio iteration: starting from
+   ``max(1, ResMII)``, Bellman–Ford over edges weighted ``latency - II *
+   distance`` either proves no cycle is violated, or yields one violated
+   cycle, whose ``ceil(latency_sum / distance_sum)`` is a lower bound the
+   II jumps to. The first II with no violated cycle is exactly
+   ``max(ResMII, RecMII)``.
 3. Starting at ``max(ResMII, RecMII)``, ops are placed in topological
    (program) order at their earliest feasible slot, searching one full
    II window in the modulo reservation table; loop-carried (back-edge)
@@ -46,33 +50,39 @@ def min_ii_recurrence(kernel: Kernel, inlane_separation: int,
     edges = kernel.dependence_edges(
         inlane_separation, crosslane_separation, stream_capacity_words
     )
+    return _recurrence_ii(kernel.name, edges, 1)
+
+
+def _recurrence_ii(name: str, edges, start: int) -> int:
+    """Smallest II >= ``start`` satisfying every dependence cycle.
+
+    That is ``max(start, RecMII)``, found by cycle-ratio iteration:
+    while some cycle has ``latency > II * distance``, no II below
+    ``ceil(latency / distance)`` can satisfy it, so the II jumps there.
+    Every jump lands on a lower bound and the loop stops at the first II
+    with no violated cycle, so the result is exact.
+    """
+    ii = max(1, start)
     if not any(e.distance > 0 for e in edges):
-        return 1
+        return ii
     # Dependence cycles live entirely within strongly connected
     # components, so the Bellman–Ford checks only need the intra-SCC
     # subgraph — usually a small fraction of a mostly-acyclic kernel.
     node_count, compact = _cycle_subgraph(edges)
     if node_count == 0:
-        return 1  # distance>0 edges exist but close no cycle
-    # Any dependence cycle with distance >= 1 needs at most
-    # II = sum of positive latencies, so the search can start well below
-    # MAX_II; a positive cycle surviving that bound has zero distance and
-    # would survive MAX_II too (it is unsatisfiable at any II).
-    latency_cap = sum(
-        latency for _, _, latency, _ in compact if latency > 0
-    )
-    low, high = 1, min(MAX_II, max(1, latency_cap))
-    if _positive_cycle(node_count, compact, high):
-        raise ScheduleError(
-            f"{kernel.name}: recurrence cannot be satisfied below II={MAX_II}"
-        )
-    while low < high:
-        mid = (low + high) // 2
-        if _positive_cycle(node_count, compact, mid):
-            low = mid + 1
-        else:
-            high = mid
-    return low
+        return ii  # distance>0 edges exist but close no cycle
+    while True:
+        cycle = _positive_cycle(node_count, compact, ii)
+        if cycle is None:
+            return ii
+        latency, distance = cycle
+        # A violated cycle of zero distance is violated at every II.
+        if distance > 0:
+            ii = max(ii + 1, -(-latency // distance))
+        if distance <= 0 or ii > MAX_II:
+            raise ScheduleError(
+                f"{name}: recurrence cannot be satisfied below II={MAX_II}"
+            )
 
 
 def _cycle_subgraph(edges) -> tuple:
@@ -153,30 +163,67 @@ def _strongly_connected(adjacency: dict) -> dict:
     return scc_of
 
 
-def _positive_cycle(node_count: int, compact, ii: int) -> bool:
-    """Bellman–Ford check: does any cycle have latency > II * distance?"""
+def _positive_cycle(node_count: int, compact, ii: int) -> "tuple | None":
+    """A cycle with latency > II * distance, as (latency, distance).
+
+    Bellman–Ford longest paths from a virtual source (every distance
+    starts at 0) over edges weighted ``latency - II * distance``,
+    remembering the edge that last raised each node. Relaxation settles
+    within ``node_count`` rounds when no cycle is positive, and then
+    returns None. Otherwise relaxation never settles, and a cycle in the
+    predecessor graph — which always has positive weight — appears within
+    a few laps of the positive cycle's length; each round that changed
+    something looks for one.
+    """
     weighted = [
-        (source, sink, latency - ii * distance)
-        for source, sink, latency, distance in compact
+        (source, sink, latency - ii * distance, index)
+        for index, (source, sink, latency, distance) in enumerate(compact)
     ]
-    # A walk whose accumulated weight exceeds the sum of all positive
-    # edge weights must traverse a positive cycle (any acyclic walk is
-    # bounded by that sum), so growth past the bound ends the search
-    # early instead of running all node_count relaxation rounds.
-    bound = sum(weight for _, _, weight in weighted if weight > 0)
-    distance = [0.0] * node_count
-    for _iteration in range(node_count):
+    distance = [0] * node_count
+    predecessor = [-1] * node_count  # edge index that last raised a node
+    while True:
         changed = False
-        for source, sink, weight in weighted:
+        for source, sink, weight, index in weighted:
             candidate = distance[source] + weight
-            if candidate > distance[sink] + 1e-9:
+            if candidate > distance[sink]:
                 distance[sink] = candidate
+                predecessor[sink] = index
                 changed = True
         if not changed:
-            return False
-        if max(distance) > bound:
-            return True
-    return True
+            return None
+        cycle = _predecessor_cycle(predecessor, compact)
+        if cycle is not None:
+            return cycle
+
+
+def _predecessor_cycle(predecessor, compact) -> "tuple | None":
+    """(latency, distance) of a cycle of the predecessor graph, or None.
+
+    Every node has at most one predecessor edge, so walking back from
+    each node in turn, marking the nodes of the walk, finds a cycle
+    exactly when a walk runs into one of its own marks.
+    """
+    walk_of = [0] * len(predecessor)
+    for start in range(len(predecessor)):
+        node = start
+        walk = start + 1
+        while node >= 0 and not walk_of[node]:
+            walk_of[node] = walk
+            edge = predecessor[node]
+            node = compact[edge][0] if edge >= 0 else -1
+        if node >= 0 and walk_of[node] == walk:
+            latency = distance = 0
+            member = node
+            while True:
+                source, _, edge_latency, edge_distance = (
+                    compact[predecessor[member]]
+                )
+                latency += edge_latency
+                distance += edge_distance
+                member = source
+                if member == node:
+                    return latency, distance
+    return None
 
 
 class ModuloScheduler:
@@ -193,13 +240,12 @@ class ModuloScheduler:
         edges = kernel.dependence_edges(
             inlane_separation, crosslane_separation, stream_capacity_words
         )
-        ii = max(
-            min_ii_resources(kernel, self.resources),
-            min_ii_recurrence(kernel, inlane_separation,
-                              crosslane_separation, stream_capacity_words),
+        ii = _recurrence_ii(
+            kernel.name, edges, min_ii_resources(kernel, self.resources)
         )
+        plan = self._placement_plan(kernel, edges)
         while ii <= MAX_II:
-            slots = self._try_place(kernel, edges, ii)
+            slots = self._try_place(plan, edges, ii)
             if slots is not None:
                 return self._finish(
                     kernel, ii, slots, inlane_separation, crosslane_separation
@@ -227,17 +273,51 @@ class ModuloScheduler:
             return ("fifo", op.stream.name)
         return None
 
-    def _try_place(self, kernel: Kernel, edges, ii: int) -> "dict | None":
-        """One placement attempt at a fixed II; None on failure."""
+    def _placement_plan(self, kernel: Kernel, edges) -> list:
+        """What every placement attempt needs to know of each op, in
+        program (topological) order; none of it depends on the II.
+
+        One ``(op_id, deps, group, key, units, hold)`` per op: ``deps``
+        lists ``(source_id, latency, distance)`` of the op's incoming
+        edges, ``group`` numbers its stream-ordering group, and ``key``,
+        ``units`` and ``hold`` are its reservation-table row (None for
+        ops that need no slot), unit count and reserved cycles. Groups
+        and rows are small integers, which hash faster than the enum
+        tuples they stand for.
+        """
         forward = {}  # sink_id -> list of (source_id, latency, distance)
         for edge in edges:
             forward.setdefault(edge.sink.op_id, []).append(
                 (edge.source.op_id, edge.latency, edge.distance)
             )
+        groups = {}
+        rows = {}
+        plan = []
+        for op in kernel.ops:
+            group = self._stream_group(op)
+            if group is not None:
+                group = groups.setdefault(group, len(groups))
+            key = resource_key(op)
+            units = 0
+            if key is not None:
+                units = self.resources.count(key)
+                key = rows.setdefault(key, len(rows))
+            plan.append((
+                op.op_id,
+                tuple(forward.get(op.op_id, ())),
+                group,
+                key,
+                units,
+                op.spec.reserved_cycles,
+            ))
+        return plan
 
-        def earliest_from_deps(op, placed_slots):
+    def _try_place(self, plan: list, edges, ii: int) -> "dict | None":
+        """One placement attempt at a fixed II; None on failure."""
+
+        def earliest_from_deps(deps, placed_slots):
             earliest = 0
-            for source_id, latency, distance in forward.get(op.op_id, ()):
+            for source_id, latency, distance in deps:
                 if source_id in placed_slots:
                     earliest = max(
                         earliest,
@@ -248,27 +328,26 @@ class ModuloScheduler:
         # ASAP pre-pass (no resources): group floors ensure a stream
         # group's last member can still be within II of its first.
         asap = {}
-        for op in kernel.ops:
-            asap[op.op_id] = earliest_from_deps(op, asap)
         group_floor = {}
-        for op in kernel.ops:
-            group = self._stream_group(op)
+        for op_id, deps, group, _, _, _ in plan:
+            asap[op_id] = earliest = earliest_from_deps(deps, asap)
             if group is not None:
-                floor = max(0, asap[op.op_id] - ii)
+                floor = max(0, earliest - ii)
                 group_floor[group] = max(group_floor.get(group, 0), floor)
 
         reservations = {}  # key -> occupied slots mod ii
         slots = {}
         group_first = {}
         group_last = {}
-        for op in kernel.ops:  # program order is topological (fwd edges)
-            earliest = earliest_from_deps(op, slots)
-            group = self._stream_group(op)
+        for op_id, deps, group, key, units, hold in plan:
+            earliest = earliest_from_deps(deps, slots)
             if group is not None:
                 earliest = max(earliest, group_floor.get(group, 0))
                 if group in group_last:
                     earliest = max(earliest, group_last[group])
-            placed = self._place_in_window(op, earliest, ii, reservations)
+            placed = self._place_in_window(
+                key, units, hold, earliest, ii, reservations
+            )
             if placed is None:
                 return None
             if group is not None:
@@ -276,7 +355,7 @@ class ModuloScheduler:
                 if placed - first > ii:
                     return None  # stream span exceeds one iteration
                 group_last[group] = placed
-            slots[op.op_id] = placed
+            slots[op_id] = placed
         # Verify loop-carried constraints (sources placed after sinks).
         for edge in edges:
             lhs = slots[edge.sink.op_id] - slots[edge.source.op_id]
@@ -284,19 +363,17 @@ class ModuloScheduler:
                 return None
         return slots
 
-    def _place_in_window(self, op, earliest: int, ii: int,
-                         reservations: dict) -> "int | None":
-        key = resource_key(op)
+    @staticmethod
+    def _place_in_window(key, units: int, hold: int, earliest: int,
+                         ii: int, reservations: dict) -> "int | None":
         if key is None:
             return max(earliest, 0)
-        units = self.resources.count(key)
+        if hold > ii:
+            return None  # unpipelined op cannot fit this II
         occupied = reservations.setdefault(key, {})
-        hold = op.spec.reserved_cycles
         for offset in range(ii):
             slot = max(earliest, 0) + offset
-            cells = [(slot + k) % ii for k in range(min(hold, ii))]
-            if hold > ii:
-                return None  # unpipelined op cannot fit this II
+            cells = [(slot + k) % ii for k in range(hold)]
             if all(occupied.get(cell, 0) < units for cell in cells):
                 for cell in cells:
                     occupied[cell] = occupied.get(cell, 0) + 1

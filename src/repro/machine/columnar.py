@@ -1,25 +1,12 @@
 """Columnar timing engine: batch-stepped cycle simulation of the SRF.
 
-A second implementation of the cycle-driven timing model
+A second way of stepping the cycle-driven timing model
 (:attr:`MachineConfig.timing_engine` = ``"columnar"``), bit-identical to
 the object engine by construction and enforced by
-``tests/machine/test_timing_equivalence.py``. Three ideas:
-
-* **Calendar-column completions.** Pipelined SRF completions (stream
-  fills, reorder-buffer fills, write retirements) live in a flat ring of
-  per-cycle buckets — one column per future cycle — instead of a heap of
-  ``(due, seq, lambda)`` tuples. Dues span at most the largest SRF
-  latency, so the ring is tiny, pushes are a list append of a typed
-  tuple (no closure allocation), and completing a cycle drains one
-  bucket in push order, which equals the object engine's
-  ``(due, sequence)`` heap order because every bucket holds a single
-  due cycle.
-
-* **Fused per-bank arbitration.** The two-stage indexed arbitration
-  (paper §4.4) is flattened into one loop over banks with hoisted
-  attribute lookups, a bitmask for sub-array conflicts and the launch
-  bookkeeping inlined. Grant-for-grant identical to
-  :meth:`StreamRegisterFile._grant_bank` + ``_launch``.
+``tests/machine/test_timing_equivalence.py``. The SRF itself is the
+object engine's — the calendar ring of completions and the bucketed
+per-bank grant loop live in :class:`~repro.core.srf.StreamRegisterFile`
+— so what remains here is one idea:
 
 * **Event-horizon drain windows.** The object engine's quiet-window
   fast-forward only skips cycles in which *nothing* can change state.
@@ -29,18 +16,15 @@ the object engine by construction and enforced by
   all known — the processor ticks just the memory controller and SRF in
   a tight loop and charges the executor in bulk
   (:meth:`ColumnarExecutor.stall_window`,
-  ``StreamProcessor._drain_windows``). Steady-state quiet skipping is
+  ``StreamProcessor._drain_windows``). The fill dues come from
+  :class:`ColumnarReorderBuffer`, into which the SRF's grant loop
+  records each in-lane read's due cycle. Steady-state quiet skipping is
   also enabled for the scalar functional backend
   (:attr:`ColumnarExecutor.steady_skippable`), which the object engine
   reserves for vector/replay runs.
 
-Why not NumPy per-cycle state? At the paper's 8 lanes a single NumPy
-dispatch (~1µs) costs more than the whole per-bank Python scan it would
-replace, and SRF words are arbitrary Python objects (opaque kernel
-payloads), so value movement cannot vectorize. Measured head-to-head, a
-vectorized per-cycle update *lost* to the object engine; the wins here
-come from flat columnar data layout and from stepping fewer Python
-frames per simulated cycle. DESIGN.md §4j records the measurements.
+DESIGN.md §4j records the measurements, including why per-cycle NumPy
+state lost to flat Python lists at the paper's 8 lanes.
 
 Fallback: configurations the engine does not model exactly — fault
 injection, the sanitizer, per-event tracing/metrics/profiling, and
@@ -52,19 +36,12 @@ fallback can never masquerade as a columnar run.
 
 from __future__ import annotations
 
-from bisect import insort
-
 from repro.config.machine import MachineConfig
-from repro.core.address_fifo import _STALE
 from repro.core.srf import IndexedStream, StreamRegisterFile
-from repro.core.stream_buffer import ReorderBuffer
+from repro.core.stream_buffer import _EMPTY, ReorderBuffer
 from repro.errors import ConfigurationError
 from repro.machine.executor import KernelExecutor, _IdxData
 from repro.machine.processor import StreamProcessor
-
-#: Grant order when a bank sees exactly one head: rotation() and the
-#: occupancy sort both reduce to serving position 0.
-_SINGLE = (0,)
 
 __all__ = [
     "COLUMNAR_MODELED_FIELDS",
@@ -148,52 +125,48 @@ class ColumnarReorderBuffer(ReorderBuffer):
     """Reorder buffer that remembers each pending fill's due cycle.
 
     In-lane indexed fills complete at a deterministic
-    ``grant_cycle + inlane_indexed_latency``; recording that due per
-    ticket lets :meth:`ColumnarExecutor.stall_window` bound how long a
+    ``grant_cycle + inlane_indexed_latency``; the SRF's grant loop
+    records that due in :attr:`fill_dues` at ``ticket % capacity``,
+    which lets :meth:`ColumnarExecutor.stall_window` bound how long a
     stalled data event must keep stalling. Cross-lane fills arrive via
     the return network (slot- and comm-dependent), so they never get a
     due — and their absence blocks the window, never the correctness.
+
+    Entries are never cleared: live tickets span less than ``capacity``,
+    so an entry is either the due of the ticket asked about or that of a
+    ticket ``capacity`` older, which has been filled and popped and so
+    was due before the SRF's last drained cycle.
     """
 
     def __init__(self, capacity_words: int):
         super().__init__(capacity_words)
-        self._due = {}  # ticket -> fill due cycle (in-lane grants only)
+        self.fill_dues = [-1] * capacity_words
 
-    def note_due(self, ticket: int, due: int) -> None:
-        """Record that ``ticket`` will be filled at SRF tick ``due``."""
-        self._due[ticket] = due
-
-    def fill(self, ticket: int, value) -> None:
-        self._due.pop(ticket, None)
-        super().fill(ticket, value)
-
-    def clear(self) -> None:
-        super().clear()
-        self._due.clear()
-
-    def unblock_due(self, count: int):
+    def unblock_due(self, count: int, cycle: int):
         """Last fill due among the ``count`` oldest slots, if knowable.
 
-        Returns ``None`` when the head record cannot be due-bounded:
-        fewer than ``count`` slots reserved, or some unfilled slot has
-        no recorded due (not yet granted, or a cross-lane return).
-        Returns ``-1`` when all ``count`` head slots are already filled
-        (the event can fire now). Relies on the dense-ascending ticket
-        invariant: slot ``k`` holds ticket ``_head_ticket + k``.
+        ``cycle`` is the first cycle whose completions the SRF has not
+        drained yet. Returns ``None`` when the head record cannot be
+        due-bounded: fewer than ``count`` slots reserved, or some
+        unfilled slot has no recorded due (not yet granted, or a
+        cross-lane return). Returns ``-1`` when all ``count`` head slots
+        are already filled (the event can fire now). Slot ``k`` holds
+        ticket ``_head_ticket + k``.
         """
         slots = self._slots
         if count > len(slots):
             return None
-        due = self._due
+        dues = self.fill_dues
+        capacity = self.capacity
         head = self._head_ticket
         latest = -1
         for k in range(count):
-            if not slots[k].valid:
-                d = due.get(head + k)
-                if d is None:
-                    return None
-                if d > latest:
-                    latest = d
+            if slots[k] is _EMPTY:
+                due = dues[(head + k) % capacity]
+                if due < cycle:
+                    return None  # an older ticket's due: not granted yet
+                if due > latest:
+                    latest = due
         return latest
 
 
@@ -204,266 +177,9 @@ class ColumnarIndexedStream(IndexedStream):
 
 
 class ColumnarSrf(StreamRegisterFile):
-    """SRF with calendar-column completions and fused arbitration.
-
-    State, stats, and grant decisions are identical to the base class;
-    only the *representation* of pending completions (ring of per-cycle
-    buckets instead of a heap of closures) and the Python shape of the
-    per-bank grant loop differ.
-    """
+    """The object engine's SRF with due-tracking reorder buffers."""
 
     INDEXED_STREAM_CLS = ColumnarIndexedStream
-
-    # Calendar event kinds (typed tuples, no closures):
-    #   (1, rob, ticket, value)                      in-lane read fill
-    #   (2, bank, src_lane, ticket, value, sid, rob) cross-lane return
-    #   (3, stream)                                  write retirement
-    #   (4, action)                                  generic callable
-    def __init__(self, config: MachineConfig):
-        super().__init__(config)
-        # Every due is at most max(latencies) cycles out, so live dues
-        # span < size and each bucket holds one due cycle at a time.
-        self._cal_size = max(
-            config.srf_sequential_latency,
-            config.inlane_indexed_latency,
-            config.crosslane_indexed_latency,
-            1,
-        ) + 2
-        self._cal = [[] for _ in range(self._cal_size)]
-        self._cal_count = 0
-        self._cal_floor = 0  # next unprocessed due cycle
-
-    # -- calendar ---------------------------------------------------------
-    def _push_in_flight(self, due: int, action) -> None:
-        # Inherited callers (sequential-fill scheduling, the faulted
-        # fallback path through the base grant code) land here.
-        self._cal[due % self._cal_size].append((4, action))
-        self._cal_count += 1
-
-    def _complete_due(self, cycle: int) -> None:
-        if not self._cal_count:
-            self._cal_floor = cycle + 1
-            return
-        size = self._cal_size
-        floor = self._cal_floor
-        if cycle - floor >= size:
-            # A fast-forward skipped the floor past; the skip contract
-            # guarantees no pending due inside the skipped window, so
-            # every live due is >= cycle.
-            floor = cycle
-        cal = self._cal
-        enqueue = self.return_network.enqueue
-        while floor <= cycle:
-            bucket = cal[floor % size]
-            if bucket:
-                # Completions never push new calendar events, so plain
-                # iteration is safe; list order is push order, which
-                # matches the object engine's (due, sequence) heap
-                # order within a single due cycle.
-                for ev in bucket:
-                    kind = ev[0]
-                    if kind == 1:
-                        ev[1].fill(ev[2], ev[3])
-                    elif kind == 2:
-                        enqueue(ev[1], ev[2], ev[3], ev[4], ev[5], ev[6].fill)
-                    elif kind == 3:
-                        ev[1].outstanding_writes -= 1
-                    else:
-                        ev[1]()
-                self._cal_count -= len(bucket)
-                cal[floor % size] = []
-                if not self._cal_count:
-                    self._cal_floor = cycle + 1
-                    return
-            floor += 1
-        self._cal_floor = floor
-
-    def next_event_cycle(self, cycle: int) -> "int | None":
-        for port in self._seq_ports:
-            if port.wants_grant():
-                return cycle
-        for stream in self._indexed_list:
-            if stream.pending_words:
-                return cycle
-        if self.return_network.pending():
-            return cycle
-        if self._cal_count:
-            cal = self._cal
-            size = self._cal_size
-            for k in range(size):
-                if cal[(cycle + k) % size]:
-                    return cycle + k
-            return cycle  # unreachable; be conservative, never skip
-        return None
-
-    # -- arbitration ------------------------------------------------------
-    def _grant_indexed(self, cycle: int) -> None:
-        if self._faults_enabled:
-            # Fault hooks (read strikes, drop windows) live on the base
-            # grant path; completions still flow through the calendar
-            # via the _push_in_flight override.
-            super()._grant_indexed(cycle)
-            return
-        stats = self.stats
-        stats.indexed_cycles += 1
-        self.address_network.begin_cycle()
-        lanes = self.geometry.lanes
-        bank_cap = self._bank_cap
-        multi_cap = bank_cap > 1
-        sub_stride = self._subarray_stride
-        sub_count = self._subarray_count
-        occupancy_policy = self._occupancy_policy
-        shared_comm = self._shared_network and self._comm_busy
-        return_network = self.return_network
-        address_network = self.address_network
-        bank_arbiters = self._bank_arbiters
-        bank_conflicts = self._bank_conflicts
-        storage = self.storage
-        cal = self._cal
-        size = self._cal_size
-        cfg = self.config
-        inlane_due = cycle + cfg.inlane_indexed_latency
-        crosslane_due = cycle + max(1, cfg.crosslane_indexed_latency - 1)
-        # One candidate pass per cycle instead of a full stream x lane
-        # re-peek per bank: each live head word is placed in its target
-        # bank's bucket once (inlined AddressFifo head-cache read),
-        # ordered by (stream position, lane) — the exact order the base
-        # engine's per-bank scan produces. This is exact because only
-        # advance() moves a head mid-cycle: an in-lane grant at bank b
-        # moves lane b's fifo only, which no later bank reads; a
-        # cross-lane grant CAN expose a word a later bank must see, so
-        # the uncovered head is insort-ed into that bank's bucket at
-        # its (stream, lane) position after every cross-lane grant.
-        buckets = [[] for _ in range(lanes)]
-        si = 0
-        for stream in self._indexed_list:
-            if not stream.pending_words:
-                continue
-            crosslane = stream.is_crosslane
-            lane = 0
-            for fifo in stream.fifos:
-                word = fifo._head_cache
-                if word is _STALE:
-                    word = fifo.peek_word()
-                if word is not None:
-                    # In-lane heads live at their own bank (the base
-                    # engine peeks fifos[bank] without a target check).
-                    target = word.target_lane if crosslane else lane
-                    buckets[target].append((si, lane, stream, word))
-                lane += 1
-            si += 1
-        granted_total = 0
-        blocked_total = 0
-        for bank in range(lanes):
-            heads = buckets[bank]
-            if not heads:
-                continue  # base returns before touching the arbiter
-            n_heads = len(heads)
-            if n_heads == 1:
-                order = _SINGLE  # rotation/sort of one head is [0]
-            elif occupancy_policy:
-                order = sorted(
-                    range(n_heads),
-                    key=lambda p: -heads[p][2].fifos[heads[p][1]].occupancy,
-                )
-            else:
-                order = bank_arbiters[bank].rotation(n_heads)
-            used_subarrays = 0
-            granted = 0
-            for position in order:
-                if granted >= bank_cap:
-                    break
-                si_h, lane, stream, word = heads[position]
-                subarray_bit = 1 << (
-                    (word.bank_local_addr // sub_stride) % sub_count
-                )
-                if multi_cap and used_subarrays & subarray_bit:
-                    continue
-                crosslane = stream.is_crosslane
-                if crosslane:
-                    if shared_comm:
-                        continue  # the shared network carries the comm
-                    if not return_network.bank_has_space(bank):
-                        continue
-                    if not address_network.try_route(lane, bank):
-                        continue
-                    return_network.reserve(bank)
-                used_subarrays |= subarray_bit
-                fifo = stream.fifos[lane]
-                fifo.advance()
-                stream.pending_words -= 1
-                if crosslane:
-                    # A later bank's scan in the base engine would see
-                    # the word this advance uncovered; file it in that
-                    # bank's bucket at its (stream, lane) position.
-                    # Earlier (and this) banks are already arbitrated,
-                    # so a word targeting them stays out, exactly as
-                    # the base engine would miss it this cycle.
-                    refreshed = fifo._head_cache
-                    if refreshed is _STALE:
-                        refreshed = fifo.peek_word()
-                    if (refreshed is not None
-                            and refreshed.target_lane > bank):
-                        insort(
-                            buckets[refreshed.target_lane],
-                            (si_h, lane, stream, refreshed),
-                        )
-                # Inlined _launch: same stats/storage/latency effects,
-                # calendar tuples instead of heap closures. filter_word
-                # is elided because the faulted path branched to the
-                # base implementation above.
-                if word.is_read:
-                    value = storage.read_lane(bank, word.bank_local_addr)
-                    rob = stream.robs[word.source_lane]
-                    if crosslane:
-                        stats.crosslane_grants += 1
-                        cal[crosslane_due % size].append(
-                            (2, bank, word.source_lane, word.ticket, value,
-                             word.stream_id, rob)
-                        )
-                    else:
-                        stats.inlane_grants += 1
-                        rob.note_due(word.ticket, inlane_due)
-                        cal[inlane_due % size].append(
-                            (1, rob, word.ticket, value)
-                        )
-                else:
-                    stats.indexed_write_grants += 1
-                    storage.write_lane(bank, word.bank_local_addr, word.value)
-                    cal[inlane_due % size].append((3, stream))
-                self._cal_count += 1
-                granted += 1
-            bank_arbiters[bank].advance(n_heads)
-            blocked = n_heads - granted
-            if bank_conflicts is not None and blocked:
-                bank_conflicts[bank].add(blocked)
-            granted_total += granted
-            blocked_total += blocked
-        if granted_total == 0:
-            stats.empty_indexed_cycles += 1
-        stats.blocked_heads += blocked_total
-
-    # -- forensics / idle -------------------------------------------------
-    def _inflight_lines(self) -> list:
-        if not self._cal_count:
-            return []
-        cycle = self._cal_floor
-        for k in range(self._cal_size):
-            if self._cal[(self._cal_floor + k) % self._cal_size]:
-                cycle = self._cal_floor + k
-                break
-        return [
-            f"{self._cal_count} pipelined accesses in flight "
-            f"(next due cycle {cycle})"
-        ]
-
-    @property
-    def idle(self) -> bool:
-        if self._cal_count or self.return_network.pending():
-            return False
-        if any(p.wants_grant() for p in self._seq_ports):
-            return False
-        return all(s.quiescent for s in self._indexed.values())
 
 
 class ColumnarExecutor(KernelExecutor):
@@ -507,7 +223,7 @@ class ColumnarExecutor(KernelExecutor):
         for lane, n in enumerate(event.counts):
             if not n:
                 continue
-            d = robs[lane].unblock_due(need)
+            d = robs[lane].unblock_due(need, cycle)
             if d is None:
                 return 0  # some word not yet granted / not due-bounded
             if d > last_due:

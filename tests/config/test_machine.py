@@ -74,6 +74,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MachineConfig(stream_buffer_words=2).validate()
 
+    @pytest.mark.parametrize("field", [
+        "srf_sequential_latency", "inlane_indexed_latency",
+        "crosslane_indexed_latency",
+    ])
+    @pytest.mark.parametrize("latency", [0, -1])
+    def test_srf_latency_below_one_rejected(self, field, latency):
+        # A zero latency once ran as 1 on the object engine and misfiled
+        # its completion on the columnar one (5197 vs 6325 FFT cycles):
+        # every SRF completion lands on a later cycle than its grant.
+        with pytest.raises(ConfigurationError, match=field):
+            MachineConfig(**{field: latency}).validate()
+        MachineConfig(**{field: 1}).validate()
+
     def test_cache_set_bank_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             MachineConfig(has_cache=True, cache_banks=3).validate()

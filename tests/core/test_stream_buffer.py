@@ -1,8 +1,11 @@
-"""Stream buffers: LaneFifo and the indexed-stream ReorderBuffer."""
+"""Stream buffers: LaneFifo, the indexed-stream ReorderBuffer, and the
+SRF completion ring that fills them."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.config import isrf4_config
+from repro.core.srf import StreamRegisterFile
 from repro.core.stream_buffer import LaneFifo, ReorderBuffer
 from repro.errors import SrfError
 
@@ -103,6 +106,47 @@ class TestReorderBuffer:
         with pytest.raises(SrfError):
             rob.fill(99, 1)
 
+    def test_double_fill_of_a_younger_slot_rejected(self):
+        rob = ReorderBuffer(3)
+        rob.reserve()
+        t1 = rob.reserve()
+        rob.fill(t1, "late")
+        with pytest.raises(SrfError, match="already-filled"):
+            rob.fill(t1, "again")
+        assert not rob.head_ready()
+
+    def test_popped_and_future_tickets_are_unknown(self):
+        rob = ReorderBuffer(2)
+        t0 = rob.reserve()
+        rob.fill(t0, "a")
+        assert rob.pop() == "a"
+        with pytest.raises(SrfError, match="unknown"):
+            rob.fill(t0, "stale")  # already retired
+        t1 = rob.reserve()
+        with pytest.raises(SrfError, match="unknown"):
+            rob.fill(t1 + 1, "early")  # never reserved
+        with pytest.raises(SrfError, match="unknown"):
+            rob.fill(-1, "negative")
+
+    def test_none_is_a_value_not_an_empty_slot(self):
+        rob = ReorderBuffer(1)
+        t = rob.reserve()
+        assert not rob.head_ready()
+        rob.fill(t, None)
+        assert rob.head_ready()
+        assert rob.pop() is None
+
+    def test_head_ready_n_needs_every_head_slot(self):
+        rob = ReorderBuffer(4)
+        t0, t1, t2 = rob.reserve(), rob.reserve(), rob.reserve()
+        assert not rob.head_ready_n(4)  # more than reserved
+        rob.fill(t1, "b")
+        rob.fill(t2, "c")
+        assert not rob.head_ready_n(2)
+        rob.fill(t0, "a")
+        assert rob.head_ready_n(1)
+        assert rob.head_ready_n(3)
+
     @given(st.permutations(list(range(6))))
     def test_any_fill_order_pops_in_issue_order(self, fill_order):
         rob = ReorderBuffer(6)
@@ -110,3 +154,52 @@ class TestReorderBuffer:
         for position in fill_order:
             rob.fill(tickets[position], position)
         assert [rob.pop() for _ in range(6)] == list(range(6))
+
+
+class _Recorder:
+    """A stand-in sequential port that logs the fills delivered to it."""
+
+    def __init__(self, log, name):
+        self.log = log
+        self.name = name
+
+    def deliver_fill(self, per_lane):
+        self.log.append((self.name, per_lane))
+
+
+class TestCompletionRing:
+    def test_same_due_completions_drain_in_push_order(self):
+        srf = StreamRegisterFile(isrf4_config())
+        log = []
+        srf.schedule_fill(3, _Recorder(log, "a"), 1)
+        srf.schedule_fill(2, _Recorder(log, "b"), 2)
+        srf.schedule_fill(3, _Recorder(log, "c"), 3)
+        srf.schedule_fill(3, _Recorder(log, "a"), 4)
+        assert srf.next_event_cycle(0) == 2
+        srf.tick(0)
+        srf.tick(1)
+        assert log == []
+        srf.tick(2)
+        assert log == [("b", 2)]
+        srf.tick(3)
+        assert log == [("b", 2), ("a", 1), ("c", 3), ("a", 4)]
+        assert srf.idle
+        assert srf.next_event_cycle(4) is None
+
+    def test_skipped_window_still_drains_in_due_order(self):
+        # A tick that lands past several dues (a window skipped without
+        # fast_forward's no-event guarantee) drains them oldest first.
+        srf = StreamRegisterFile(isrf4_config())
+        log = []
+        srf.schedule_fill(4, _Recorder(log, "late"), 0)
+        srf.schedule_fill(1, _Recorder(log, "early"), 0)
+        srf.tick(50)
+        assert [name for name, _ in log] == ["early", "late"]
+
+    def test_due_outside_the_ring_rejected(self):
+        srf = StreamRegisterFile(isrf4_config())
+        srf.tick(0)  # completions for cycle 0 have drained
+        with pytest.raises(SrfError, match="outside the completion ring"):
+            srf.schedule_fill(0, _Recorder([], "past"), 0)
+        with pytest.raises(SrfError, match="outside the completion ring"):
+            srf.schedule_fill(1000, _Recorder([], "far"), 0)

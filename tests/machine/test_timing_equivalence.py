@@ -105,6 +105,23 @@ def test_engines_bit_identical_in_replay(app, preset, tmp_path,
     assert full_stats(recorded.stats) == full_stats(col.stats)
 
 
+@pytest.mark.parametrize("field", [
+    "srf_sequential_latency", "inlane_indexed_latency",
+    "crosslane_indexed_latency",
+])
+def test_engines_agree_at_the_minimum_latency(field, engine_log):
+    """Latency 1 puts every completion in the very next ring bucket."""
+    config = all_configs()["ISRF4"].replace(**{field: 1})
+    obj = fft.run(config, n=16).require_verified()
+    col = fft.run(
+        config.replace(timing_engine="columnar"), n=16
+    ).require_verified()
+    assert engine_log == ["object", "columnar"]
+    assert full_stats(obj.stats) == full_stats(col.stats)
+    with pytest.raises(ConfigurationError, match=field):
+        config.replace(**{field: 0})
+
+
 class TestSelection:
     """Engine selection: config field, env overlay, harness seam."""
 
