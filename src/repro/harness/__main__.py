@@ -215,6 +215,10 @@ def main(argv=None) -> int:
         return _fail(f"unknown experiment(s): {', '.join(unknown)}")
     selected = [name for name in known if name in set(names)] if names \
         else known
+    try:
+        scale = figures.default_scale()
+    except ValueError as exc:
+        return _fail(str(exc))
     if options["json"] is not None:
         # Validate up front: discovering a bad path only after every
         # experiment ran would discard all their results.
@@ -239,7 +243,6 @@ def main(argv=None) -> int:
         os.environ[TIMING_ENGINE_ENV] = options["timing_engine"]
     # Forked workers inherit the path, so isolated runs see it too.
     figures.set_trace_path(options["trace_path"])
-    scale = figures.default_scale()
     print(f"# repro harness (scale: {scale}, jobs: {options['jobs']})\n")
     sweep_journal = (default_sweep_journal(cache_dir)
                      if cache_dir is not None else None)

@@ -80,7 +80,9 @@ _trace_store = None
 def default_scale() -> str:
     scale = os.environ.get("REPRO_SCALE", "small")
     if scale not in SCALES:
-        raise ValueError(f"unknown REPRO_SCALE {scale!r}")
+        raise ValueError(
+            f"unknown REPRO_SCALE {scale!r} (known: {', '.join(SCALES)})"
+        )
     return scale
 
 

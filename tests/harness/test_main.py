@@ -56,6 +56,17 @@ class TestArgumentErrors:
         assert main(["--frobnicate"]) == 2
         assert "unknown option" in capsys.readouterr().err
 
+    def test_unknown_scale_fails_with_usage(self, monkeypatch, capsys):
+        # Regression: an unknown REPRO_SCALE escaped main() as a
+        # ValueError traceback (exit 1) instead of a usage error.
+        monkeypatch.setenv("REPRO_SCALE", "bogus")
+        assert main(["area"]) == 2
+        captured = capsys.readouterr()
+        assert ("error: unknown REPRO_SCALE 'bogus' "
+                "(known: small, medium, paper)") in captured.err
+        assert "usage:" in captured.err
+        assert captured.out == ""  # nothing ran
+
     def test_bad_jobs_value_fails(self, capsys):
         assert main(["table3", "--jobs", "many"]) == 2
         assert "--jobs needs an integer" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from repro.kernel import (
 )
 from repro.kernel.scheduler import MAX_II, _cycle_subgraph
 from repro.machine.processor import StreamProcessor
-from tests.machine.test_backend_equivalence import RUNNERS
+from tests.machine.runners import RUNNERS
 from tests.machine.test_random_kernels import build_random_kernel
 
 SEPARATIONS = range(2, 11)

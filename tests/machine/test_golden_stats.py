@@ -8,7 +8,7 @@ a diff against the fixture. It doubles as the enforcement of the
 observability layer's zero-overhead contract: running with tracing,
 metrics, and the profiler all enabled must reproduce the fixture
 bit-for-bit, as must every pure simulation-speed knob (vector backend,
-columnar engine, fast-forward).
+columnar engine, fast-forward, trace replay).
 
 Regenerate deliberately after an intentional timing change:
 
@@ -20,8 +20,12 @@ import os
 
 import pytest
 
+from repro import observe
 from repro.apps import fft, spmv, stencil
 from repro.config.presets import all_configs
+from repro.machine import replay
+from repro.machine.replay import TraceStore
+from tests.machine.runners import PRESETS
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_stats.json")
 
@@ -38,8 +42,6 @@ APPS = {
     "Stencil_STAR": lambda cfg: stencil.run(cfg, pattern="star"),
     "Stencil_BOX": lambda cfg: stencil.run(cfg, pattern="box"),
 }
-
-PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
 
 
 def fingerprint(stats) -> dict:
@@ -144,6 +146,30 @@ class TestGoldenStats:
         )
         result = APPS[app](config).require_verified()
         assert fingerprint(result.stats) == golden[app][preset]
+
+    def test_replay_with_observability_is_inert(self, golden, app, preset,
+                                                tmp_path):
+        """Replay's steady-state fast-forward windows charge the profiler
+        and metrics exactly like per-cycle ticking does: the replayed
+        run pins the fixture, and its profiler reports and metrics equal
+        those of the (executed) recording run."""
+        store = TraceStore(str(tmp_path))
+        config = all_configs()[preset].replace(
+            timing_source="replay", trace=True, metrics_level=2,
+            profile_sample_period=64,
+        )
+        with replay.session(store, app, config, "test") as sess, \
+                observe.collect() as recording:
+            recorded = APPS[app](config).require_verified()
+            assert sess.mode == "record"
+        with replay.session(store, app, config, "test") as sess, \
+                observe.collect() as replaying:
+            replayed = APPS[app](config).require_verified()
+            assert sess.mode == "replay"
+        assert fingerprint(replayed.stats) == golden[app][preset]
+        assert replayed.stats.metrics == recorded.stats.metrics
+        assert ([o.profiler.report() for o in replaying.observers]
+                == [o.profiler.report() for o in recording.observers])
 
 
 @pytest.mark.parametrize("app", sorted(APPS))

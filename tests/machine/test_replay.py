@@ -24,10 +24,8 @@ from repro.machine.replay import (
     TraceStore,
     functional_fingerprint,
 )
-from tests.machine.test_backend_equivalence import RUNNERS
+from tests.machine.runners import PRESETS, RUNNERS
 from tests.machine.test_golden_stats import fingerprint
-
-PRESETS = ("Base", "ISRF1", "ISRF4", "Cache")
 
 
 @pytest.mark.parametrize("preset", PRESETS)

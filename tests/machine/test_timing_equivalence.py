@@ -32,7 +32,7 @@ from repro.machine.columnar import (
     engine_for,
 )
 from repro.machine.replay import TraceStore
-from tests.machine.test_backend_equivalence import PRESETS, RUNNERS
+from tests.machine.runners import PRESETS, RUNNERS
 
 
 def full_stats(stats) -> dict:
