@@ -21,11 +21,14 @@ Checked invariants, mirroring the machine's conservation laws:
 * **indexed streams** — the O(1) ``pending_words`` counter equals the
   words actually queued across lane FIFOs, write credits are
   non-negative, each address FIFO's head cursor lies inside its head
-  record (and is zero on an empty FIFO), reorder buffers conserve
+  record (and is zero on an empty FIFO), every queued word's cached
+  sub-array bit and storage index equal a fresh decode of its target
+  lane and bank-local address, reorder buffers conserve
   tickets (slots == tickets issued − tickets popped), and each reorder
   buffer's free-slot counter matches its contents;
 * **crossbars** — address-network port budgets within configured
-  bounds, return-network queues plus reservations within queue depth;
+  bounds, return-network queues plus reservations within queue depth,
+  and the return network's queued-word counter equal to its queues;
 * **completion pipeline** — the calendar ring's event count matches
   its buckets, and no completion due at or before the cycle is left on
   the ring after the cycle's completions drained.
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SanitizerError
+from repro.errors import SanitizerError, SrfAccessError
 
 
 @dataclass
@@ -144,6 +147,7 @@ class MachineSanitizer:
                 )
 
     def _check_indexed_streams(self):
+        geometry = self.srf.geometry
         for stream in self.srf._indexed_list:
             name = stream.descriptor.name
             queued = 0
@@ -169,6 +173,11 @@ class MachineSanitizer:
                         f"indexed stream '{name}' lane {fifo.lane}: "
                         f"head cursor {cursor} with an empty FIFO"
                     )
+                for entry in entries:
+                    for word in entry:
+                        yield from self._check_decode(
+                            geometry, name, fifo.lane, word
+                        )
             if queued != stream.pending_words:
                 yield (
                     f"indexed stream '{name}': pending_words counter "
@@ -183,6 +192,27 @@ class MachineSanitizer:
             if stream.robs is not None:
                 for lane, rob in enumerate(stream.robs):
                     yield from self._check_rob(name, lane, rob)
+
+    @staticmethod
+    def _check_decode(geometry, name, lane, word):
+        """The cached decode of a queued word against a fresh one."""
+        target, addr, _, _, bit, index = word
+        try:
+            fresh_bit = 1 << geometry.subarray_of(addr)
+            fresh_index = geometry.join(target, addr)
+        except SrfAccessError as exc:
+            yield (
+                f"indexed stream '{name}' lane {lane}: queued word "
+                f"({target}, {addr}) does not decode: {exc}"
+            )
+            return
+        if (bit, index) != (fresh_bit, fresh_index):
+            yield (
+                f"indexed stream '{name}' lane {lane}: queued word "
+                f"({target}, {addr}) caches sub-array bit {bit} and "
+                f"storage index {index}, but decodes to {fresh_bit} and "
+                f"{fresh_index}"
+            )
 
     @staticmethod
     def _check_rob(name, lane, rob):
@@ -221,6 +251,12 @@ class MachineSanitizer:
                     f"[0, {address.ports_per_bank}]"
                 )
         returns = self.srf.return_network
+        waiting = sum(len(queue) for queue in returns._queues)
+        if returns.queued != waiting:
+            yield (
+                f"return network: queued-word counter {returns.queued} "
+                f"!= {waiting} words in the bank queues"
+            )
         for bank in range(returns.lanes):
             reserved = returns._reserved[bank]
             if reserved < 0:

@@ -56,6 +56,11 @@ def _config_with_subarrays(subarrays: int, fifo_entries: int,
     )
 
 
+def _check_separation(separation: int) -> None:
+    if separation < 0:
+        raise ExecutionError("separation must be non-negative")
+
+
 def inlane_random_read_throughput(
     subarrays: int = 4,
     fifo_entries: int = 8,
@@ -68,6 +73,7 @@ def inlane_random_read_throughput(
     """Figure 17's measurement for one (sub-arrays, FIFO size) point."""
     if streams <= 0 or cycles <= 0:
         raise ExecutionError("streams and cycles must be positive")
+    _check_separation(separation)
     config = _config_with_subarrays(subarrays, fifo_entries,
                                     arbitration=arbitration)
     srf = StreamRegisterFile(config)
@@ -99,16 +105,14 @@ def inlane_random_read_throughput(
         # in SIMD lockstep: a full address FIFO anywhere stalls issue for
         # the whole cluster array, which is why small FIFOs lose
         # throughput (Figure 17).
-        can_issue_all = all(
-            stream.can_issue(lane)
-            for stream in streams_open for lane in range(lanes)
-        )
-        if can_issue_all:
+        if all(stream.can_issue_all() for stream in streams_open):
             for s, stream in enumerate(streams_open):
-                for lane in range(lanes):
-                    stream.issue_read(lane, rng.randrange(records))
-                    ready_queue[s][lane].append(cycle)
-                    issued += 1
+                stream.try_issue(
+                    [rng.randrange(records) for _ in range(lanes)]
+                )
+                for pending in ready_queue[s]:
+                    pending.append(cycle)
+                issued += lanes
         srf.tick(cycle)
     words = srf.stats.inlane_grants
     return ThroughputResult(
@@ -139,6 +143,13 @@ def crosslane_random_read_throughput(
     """
     if not 0.0 <= comm_occupancy <= 1.0:
         raise ExecutionError("comm occupancy must be in [0, 1]")
+    if cycles <= 0:
+        raise ExecutionError("cycles must be positive")
+    if not 0.0 <= issue_probability <= 1.0:
+        raise ExecutionError("issue_probability must be in [0, 1]")
+    if sequential_streams < 0:
+        raise ExecutionError("sequential_streams must be non-negative")
+    _check_separation(separation)
     config = _config_with_subarrays(4, 8, ports_per_bank, network=network,
                                     shared_network=shared_network)
     srf = StreamRegisterFile(config)

@@ -9,12 +9,18 @@ head word access of each FIFO, which is what produces the head-of-line
 blocking studied in Figure 17.
 
 An entry is a record: a tuple of per-word tuples
-``(target_lane, bank_local_addr, ticket, value)``, in word order. Reads
-carry their reorder-buffer ``ticket`` and a ``None`` value; writes carry
-a ``None`` ticket and the word to store. For in-lane streams every target
-lane equals the issuing lane; a cross-lane record striped across banks
-may straddle lanes. The head counter is a cursor into the head entry, so
-no per-word object is built when a word is peeked or granted.
+``(target_lane, bank_local_addr, ticket, value, subarray_bit,
+storage_index)``, in word order. Reads carry their reorder-buffer
+``ticket`` and a ``None`` value; writes carry a ``None`` ticket and the
+word to store. The last two fields are the word's address decoded once,
+when the record issued: the one-hot mask of its sub-array in the target
+bank, which local arbitration tests for conflicts, and its index in
+:class:`~repro.core.storage.SrfStorage` (its global address), at which a
+grant reads or writes the word. For in-lane streams every target lane
+equals the issuing lane; a cross-lane record striped across banks may
+straddle lanes. The head counter is a cursor into the head entry, so no
+per-word object is built when a word is peeked or granted. The FIFO
+itself never looks inside a word.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ class AddressFifo:
         self._entries.append(entry)
 
     def peek_word(self) -> "tuple | None":
-        """The head word ``(target_lane, bank_local_addr, ticket, value)``,
-        or None when the FIFO is empty."""
+        """The head word (the six-field tuple above), or None when the
+        FIFO is empty."""
         entries = self._entries
         if not entries:
             return None

@@ -154,8 +154,7 @@ class SrfArray:
                 raise SrfError(
                     f"{self.name}: lane {lane} table exceeds per-lane space"
                 )
-            for offset, value in enumerate(table):
-                self.srf.storage.write_lane(lane, local_base + offset, value)
+            self.srf.storage.write_lane_range(lane, local_base, table)
 
     def fill_replicated(self, table) -> None:
         """Replicate one table into every lane (Rijndael-style tables)."""

@@ -14,12 +14,24 @@ one cycle-steppable device:
 * cross-lane access through dedicated address and data-return crossbars
   (§4.5, Figure 18).
 
-Clients (the kernel executor and the memory controller) interact through
-small, explicit protocols: sequential ports expose ``wants_grant`` /
-``on_grant``; indexed streams expose ``can_issue`` / ``issue_read`` /
-``issue_write`` / ``data_ready`` / ``pop_data``. Everything functional
-(actual word values) lives in :class:`~repro.core.storage.SrfStorage`,
-so the timing model and the data model can never diverge.
+Clients (the kernel executor, the microbenchmarks and the memory
+controller) interact through small, explicit protocols:
+
+* sequential ports expose ``wants_grant`` / ``on_grant``;
+* indexed streams expose lane-vector ops for clusters in SIMD lockstep:
+  ``try_issue(indices)``, ``try_write(entries)`` and ``try_pop(counts)``
+  take one entry per lane (None or 0 for a lane predicated off) and act
+  on every active lane or, when one cannot, on none; ``can_issue_all``
+  asks the same question without acting;
+* indexed streams also expose per-lane ops for clients whose lanes act
+  independently: ``can_issue`` / ``issue_read`` / ``issue_write`` /
+  ``data_ready`` / ``pop_data``.
+
+Each record address is decoded once, when it issues, into its word's
+sub-array bit and storage index; arbitration reads the decoded words.
+Everything functional (actual word values) lives in
+:class:`~repro.core.storage.SrfStorage`, so the timing model and the
+data model can never diverge.
 """
 
 from __future__ import annotations
@@ -196,8 +208,15 @@ class IndexedStream:
     order (Figure 9's stall semantics). A write stream's FIFO entries
     carry the data words; ``outstanding_writes`` lets the executor
     barrier on write drain at kernel end. FIFO entries are tuples of
-    per-word tuples ``(target_lane, bank_local_addr, ticket, value)``
+    per-word tuples ``(target_lane, bank_local_addr, ticket, value,
+    subarray_bit, storage_index)``, decoded once when the record issues
     (see :mod:`repro.core.address_fifo`).
+
+    Clusters run in SIMD lockstep (§4.4: each indexed stream op pushes
+    one record address per lane), so the kernel executor moves a lane
+    vector per stream op: :meth:`try_issue`, :meth:`try_write` and
+    :meth:`try_pop` take one entry per lane, None or 0 for a lane that
+    is predicated off, and act on every active lane or on none.
     """
 
     #: Reorder-buffer class hook: timing-engine subclasses (see
@@ -209,7 +228,8 @@ class IndexedStream:
             raise SrfError(f"{descriptor.name}: not an indexed stream kind")
         self.srf = srf
         self.descriptor = descriptor
-        lanes = srf.geometry.lanes
+        geometry = srf.geometry
+        lanes = geometry.lanes
         cfg = srf.config
         self.fifos = [
             AddressFifo(cfg.address_fifo_words, descriptor.stream_id, lane)
@@ -233,9 +253,21 @@ class IndexedStream:
         self._record_words = descriptor.record_words
         self._length_records = descriptor.length_records
         self._local_base = self._compute_local_base()
-        self._per_lane_single = (
-            descriptor.index_space is IndexSpace.PER_LANE
-            and descriptor.record_words == 1
+        self._per_lane = descriptor.index_space is IndexSpace.PER_LANE
+        self._per_lane_single = self._per_lane and descriptor.record_words == 1
+        # Address-decode factors (see repro.core.geometry).
+        self._m = geometry.words_per_lane_access
+        self._block_words = geometry.block_words
+        self._subarrays = geometry.subarrays_per_bank
+        self._bank_words = geometry.bank_words
+        # Records below this index lie inside the stream and the SRF, so
+        # issue decodes them without a further range check.
+        if self._per_lane:
+            room = geometry.bank_words - self._local_base
+        else:
+            room = geometry.total_words - descriptor.base
+        self._issue_limit = max(
+            0, min(self._length_records, room // self._record_words)
         )
 
     def _compute_local_base(self) -> int:
@@ -256,21 +288,65 @@ class IndexedStream:
                 f"range [0,{self._length_records})"
             )
 
-    def resolve(self, lane: int, record_index: int) -> list:
-        """Word targets ``(target_lane, bank_local_addr)`` of a record."""
-        self._check_index(record_index)
-        if self._per_lane_single:
-            return [(lane, self._local_base + record_index)]
-        descriptor = self.descriptor
-        rw = descriptor.record_words
-        if descriptor.index_space is IndexSpace.PER_LANE:
-            start = self._local_base + record_index * rw
-            return [(lane, start + j) for j in range(rw)]
-        geometry = self.srf.geometry
-        start = descriptor.base + record_index * rw
-        return [geometry.split(start + j) for j in range(rw)]
+    def _decode(self, lane: int, addr: int) -> tuple:
+        """``(lane, addr, subarray_bit, storage_index)`` of the word at
+        bank-local ``addr`` of bank ``lane``.
 
-    # -- client (cluster) side ----------------------------------------------
+        The sub-array bit is the one-hot conflict mask local arbitration
+        tests; the storage index is the word's global address, the index
+        :class:`~repro.core.storage.SrfStorage` keeps it at.
+        """
+        if not 0 <= addr < self._bank_words:
+            self.srf.geometry.join(lane, addr)  # raises the precise error
+        m = self._m
+        super_block, offset = divmod(addr, m)
+        return (
+            lane, addr, 1 << (super_block % self._subarrays),
+            super_block * self._block_words + lane * m + offset,
+        )
+
+    def resolve(self, lane: int, record_index: int) -> list:
+        """Decoded word targets of a record, in word order: ``(target_lane,
+        bank_local_addr, subarray_bit, storage_index)`` per word."""
+        self._check_index(record_index)
+        rw = self._record_words
+        if self._per_lane:
+            start = self._local_base + record_index * rw
+            return [self._decode(lane, start + j) for j in range(rw)]
+        split = self.srf.geometry.split
+        start = self.descriptor.base + record_index * rw
+        return [self._decode(*split(start + j)) for j in range(rw)]
+
+    def _read_entry(self, lane: int, record_index: int) -> tuple:
+        """Reserve reorder slots for one record read; its FIFO entry."""
+        rob = self.robs[lane]
+        if self._per_lane_single:
+            words = (self._decode(lane, self._local_base + record_index),)
+        else:
+            words = self.resolve(lane, record_index)
+        return tuple(
+            (target, addr, rob.reserve(), None, bit, index)
+            for target, addr, bit, index in words
+        )
+
+    def _write_entry(self, lane: int, record_index: int, values) -> tuple:
+        """The FIFO entry of one record write carrying ``values``."""
+        if self._per_lane_single and 0 <= record_index < self._issue_limit:
+            words = (self._decode(lane, self._local_base + record_index),)
+        else:
+            words = self.resolve(lane, record_index)
+        values = list(values)
+        if len(values) != len(words):
+            raise SrfError(
+                f"{self.descriptor.name}: record needs "
+                f"{self._record_words} words"
+            )
+        return tuple(
+            (target, addr, None, value, bit, index)
+            for (target, addr, bit, index), value in zip(words, values)
+        )
+
+    # -- client (cluster) side: one lane ---------------------------------
     def can_issue(self, lane: int) -> bool:
         """Whether ``lane`` may enqueue another record access now."""
         if self.fifos[lane].is_full:
@@ -283,22 +359,12 @@ class IndexedStream:
         """Enqueue a record read; reserves in-order reorder slots."""
         if not self.is_read:
             raise SrfError(f"{self.descriptor.name}: not a read stream")
+        if not 0 <= record_index < self._issue_limit:
+            self.resolve(lane, record_index)  # raises the precise error
         fifo = self.fifos[lane]
-        rob = self.robs[lane]
-        if self._per_lane_single:
-            if not 0 <= record_index < self._length_records:
-                self._check_index(record_index)  # raises the precise error
-            fifo.push((
-                (lane, self._local_base + record_index, rob.reserve(), None),
-            ))
-            self.pending_words += 1
-        else:
-            entry = tuple(
-                (target, addr, rob.reserve(), None)
-                for target, addr in self.resolve(lane, record_index)
-            )
-            fifo.push(entry)
-            self.pending_words += len(entry)
+        entry = self._read_entry(lane, record_index)
+        fifo.push(entry)
+        self.pending_words += len(entry)
         hist = self.srf._addr_fifo_hist
         if hist is not None:
             hist.record(fifo.occupancy)
@@ -307,20 +373,11 @@ class IndexedStream:
         """Enqueue a record write carrying its data words."""
         if not self.is_write:
             raise SrfError(f"{self.descriptor.name}: not a write stream")
-        words = self.resolve(lane, record_index)
-        values = list(values)
-        if len(values) != len(words):
-            raise SrfError(
-                f"{self.descriptor.name}: record needs "
-                f"{self._record_words} words"
-            )
+        entry = self._write_entry(lane, record_index, values)
         fifo = self.fifos[lane]
-        fifo.push(tuple(
-            (target, addr, None, value)
-            for (target, addr), value in zip(words, values)
-        ))
-        self.pending_words += len(words)
-        self.outstanding_writes += len(words)
+        fifo.push(entry)
+        self.pending_words += len(entry)
+        self.outstanding_writes += len(entry)
         hist = self.srf._addr_fifo_hist
         if hist is not None:
             hist.record(fifo.occupancy)
@@ -329,34 +386,155 @@ class IndexedStream:
         """Whether the oldest issued record's next word is readable."""
         return self.robs is not None and self.robs[lane].head_ready()
 
-    def record_ready(self, lane: int) -> bool:
-        """Whether a full record (``record_words`` words) is readable."""
-        return self.robs is not None and self.robs[lane].head_ready_n(
-            self._record_words
-        )
-
-    def pop_record(self, lane: int):
-        """Pop one full record; single-word records return the bare word."""
-        if self.robs is None:
-            raise SrfError(f"{self.descriptor.name}: write streams have no data")
-        rob = self.robs[lane]
-        if self._record_words == 1:
-            return rob.pop()
-        return tuple(rob.pop() for _ in range(self._record_words))
-
     def pop_data(self, lane: int):
         """Pop the next in-order data word for ``lane``."""
         if self.robs is None:
             raise SrfError(f"{self.descriptor.name}: write streams have no data")
         return self.robs[lane].pop()
 
+    # -- client (cluster) side: every lane in lockstep ---------------------
+    def can_issue_all(self) -> bool:
+        """Whether every lane may enqueue another record access now."""
+        robs = self.robs
+        need = self._record_words
+        lane = 0
+        for fifo in self.fifos:
+            if fifo.is_full or (robs is not None and robs[lane].space < need):
+                return False
+            lane += 1
+        return True
+
+    def try_issue(self, indices) -> bool:
+        """Issue one record read per active lane, or none at all.
+
+        ``indices`` holds each lane's record index, or None for a lane
+        that is predicated off. Returns False, changing nothing, when
+        an active lane's address FIFO is full or its reorder buffer
+        lacks room for a record (the lockstep stall); an out-of-range
+        index raises :class:`SrfError`, also changing nothing.
+        """
+        if not self.is_read:
+            raise SrfError(f"{self.descriptor.name}: not a read stream")
+        fifos = self.fifos
+        robs = self.robs
+        need = self._record_words
+        limit = self._issue_limit
+        lane = 0
+        for index in indices:
+            if index is not None:
+                if fifos[lane].is_full or robs[lane].space < need:
+                    return False
+                if not 0 <= index < limit:
+                    self.resolve(lane, index)  # raises the precise error
+            lane += 1
+        hist = self.srf._addr_fifo_hist
+        pushed = 0
+        lane = 0
+        if self._per_lane_single:
+            # One word per record: _read_entry with _decode inlined.
+            base = self._local_base
+            m = self._m
+            block_words = self._block_words
+            subarrays = self._subarrays
+            for index in indices:
+                if index is not None:
+                    addr = base + index
+                    super_block, offset = divmod(addr, m)
+                    fifo = fifos[lane]
+                    fifo.push(((
+                        lane, addr, robs[lane].reserve(), None,
+                        1 << (super_block % subarrays),
+                        super_block * block_words + lane * m + offset,
+                    ),))
+                    pushed += 1
+                    if hist is not None:
+                        hist.record(fifo.occupancy)
+                lane += 1
+        else:
+            for index in indices:
+                if index is not None:
+                    entry = self._read_entry(lane, index)
+                    fifo = fifos[lane]
+                    fifo.push(entry)
+                    pushed += len(entry)
+                    if hist is not None:
+                        hist.record(fifo.occupancy)
+                lane += 1
+        self.pending_words += pushed
+        return True
+
+    def try_write(self, entries) -> bool:
+        """Issue one record write per active lane, or none at all.
+
+        ``entries`` holds each lane's ``(record_index, words)``, or None
+        for a lane that is predicated off. Returns False, changing
+        nothing, when an active lane cannot issue (see :meth:`can_issue`:
+        a read-write stream's writes also wait for reorder-buffer room);
+        a bad index or record length raises :class:`SrfError`, also
+        changing nothing.
+        """
+        if not self.is_write:
+            raise SrfError(f"{self.descriptor.name}: not a write stream")
+        fifos = self.fifos
+        robs = self.robs
+        need = self._record_words
+        lane = 0
+        for entry in entries:
+            if entry is not None and (
+                fifos[lane].is_full
+                or (robs is not None and robs[lane].space < need)
+            ):
+                return False
+            lane += 1
+        records = [
+            None if entry is None
+            else self._write_entry(lane, entry[0], entry[1])
+            for lane, entry in enumerate(entries)
+        ]
+        hist = self.srf._addr_fifo_hist
+        pushed = 0
+        lane = 0
+        for record in records:
+            if record is not None:
+                fifo = fifos[lane]
+                fifo.push(record)
+                pushed += len(record)
+                if hist is not None:
+                    hist.record(fifo.occupancy)
+            lane += 1
+        self.pending_words += pushed
+        self.outstanding_writes += pushed
+        return True
+
+    def try_pop(self, counts) -> bool:
+        """Pop one whole record from every active lane, or none at all.
+
+        ``counts`` holds each lane's expected word count, 0 for a lane
+        that is predicated off. Returns False, changing nothing, while
+        any active lane's oldest record has a word still in flight.
+        """
+        robs = self.robs
+        if robs is None:
+            raise SrfError(f"{self.descriptor.name}: write streams have no data")
+        need = self._record_words
+        lane = 0
+        for count in counts:
+            if count and not robs[lane].head_ready_n(need):
+                return False
+            lane += 1
+        lane = 0
+        for count in counts:
+            if count:
+                rob = robs[lane]
+                for _ in range(need):
+                    rob.pop()
+            lane += 1
+        return True
+
     @property
     def quiescent(self) -> bool:
         """True when no addresses or writes remain in flight."""
         return self.pending_words == 0 and self.outstanding_writes == 0
-
-    def pending_addresses(self) -> bool:
-        return self.pending_words > 0
 
 
 #: Completion kinds on the SRF's calendar ring; each event is a plain
@@ -422,10 +600,6 @@ class StreamRegisterFile:
             source_bandwidth=max(1, config.crosslane_indexed_bandwidth or 1),
         )
         self.return_network = ReturnNetwork(lanes=config.lanes)
-        # Sub-array decode factors, inlined on the per-word grant path
-        # (addresses there were already range-checked at issue time).
-        self._subarray_stride = self.geometry.words_per_lane_access
-        self._subarray_count = self.geometry.subarrays_per_bank
         # Calendar ring of pipelined completions, one bucket per due
         # cycle. Every due lies 1..max(latency) cycles after the cycle
         # that scheduled it, so each live due owns its bucket alone and
@@ -630,7 +804,9 @@ class StreamRegisterFile:
             self._complete_due(cycle)
         else:
             self._ring_floor = cycle + 1
-        self.return_network.tick(comm_busy)
+        return_network = self.return_network
+        if comm_busy or return_network.queued:
+            return_network.tick(comm_busy)
         self._arbitrate(cycle)
 
     def next_event_cycle(self, cycle: int) -> "int | None":
@@ -649,7 +825,7 @@ class StreamRegisterFile:
         for stream in self._indexed_list:
             if stream.pending_words:
                 return cycle
-        if self.return_network.pending():
+        if self.return_network.queued:
             return cycle
         if self._ring_count:
             return self._next_due()
@@ -762,7 +938,10 @@ class StreamRegisterFile:
         registration, lane) order, and each bank grants up to
         ``_bank_cap`` of them in round-robin (or FIFO-occupancy) order,
         one per sub-array, cross-lane heads subject to the address and
-        return networks (§4.2, §4.4, §4.5).
+        return networks (§4.2, §4.4, §4.5). Words were decoded when they
+        issued, so a grant tests the word's sub-array bit and moves data
+        at its storage index; the address network's per-cycle budgets
+        are reset at the cycle's first cross-lane route attempt.
 
         Banks are arbitrated in index order and a grant moves only its
         own FIFO's head. An in-lane grant at bank ``b`` moves lane
@@ -774,7 +953,7 @@ class StreamRegisterFile:
         stats = self.stats
         stats.indexed_cycles += 1
         address_network = self.address_network
-        address_network.begin_cycle()
+        routing = False  # address-network budgets reset this cycle
         lanes = self.geometry.lanes
         buckets = [[] for _ in range(lanes)]
         position = 0
@@ -801,14 +980,12 @@ class StreamRegisterFile:
         cfg = self.config
         bank_cap = self._bank_cap
         multi_cap = bank_cap > 1
-        stride = self._subarray_stride
-        subarrays = self._subarray_count
         occupancy_policy = self._occupancy_policy
         shared_comm = self._shared_network and self._comm_busy
         return_network = self.return_network
         pointers = self._bank_pointers
         conflicts = self._bank_conflicts
-        storage = self.storage
+        storage_words = self.storage._words
         injector = self._fault_injector
         ring = self._ring
         size = self._ring_size
@@ -846,8 +1023,7 @@ class StreamRegisterFile:
                     break
                 head = heads[index]
                 word = head[3]
-                addr = word[1]
-                subarray = 1 << ((addr // stride) % subarrays)
+                subarray = word[4]
                 if multi_cap and used_subarrays & subarray:
                     continue
                 stream = head[2]
@@ -858,6 +1034,9 @@ class StreamRegisterFile:
                         continue  # the shared network carries the comm
                     if not return_network.bank_has_space(bank):
                         continue
+                    if not routing:
+                        address_network.begin_cycle()
+                        routing = True
                     if not address_network.try_route(lane, bank):
                         continue
                     return_network.reserve(bank)
@@ -873,10 +1052,10 @@ class StreamRegisterFile:
                                (head[0], lane, stream, uncovered))
                 ticket = word[2]
                 if ticket is None:
-                    storage.write_lane(bank, addr, word[3])
+                    storage_words[word[5]] = word[3]
                     inlane_bucket.append((_RETIRE, stream))
                     continue
-                value = storage.read_lane(bank, addr)
+                value = storage_words[word[5]]
                 if injector is not None:
                     value = injector.filter(value)
                 rob = stream.robs[lane]
@@ -937,9 +1116,9 @@ class StreamRegisterFile:
                 f"{stream.outstanding_writes} outstanding writes"
             )
         lines.extend(self._inflight_lines())
-        if self.return_network.pending():
+        if self.return_network.queued:
             lines.append(
-                f"{self.return_network.pending()} words waiting in "
+                f"{self.return_network.queued} words waiting in "
                 f"return-network queues"
             )
         return lines
@@ -956,7 +1135,7 @@ class StreamRegisterFile:
     @property
     def idle(self) -> bool:
         """True when nothing is in flight anywhere in the SRF."""
-        if self._ring_count or self.return_network.pending():
+        if self._ring_count or self.return_network.queued:
             return False
         if any(p.wants_grant() for p in self._seq_ports):
             return False

@@ -157,6 +157,30 @@ class SrfStorage:
         super_block, offset = divmod(bank_local, m)
         self._words[super_block * self._block_words + lane * m + offset] = value
 
+    def write_lane_range(self, lane: int, bank_local: int, values) -> None:
+        """Write consecutive bank-local words of one lane's bank.
+
+        Equal to :meth:`write_lane` word by word, but each ``m``-word
+        run that one super-block keeps contiguous moves as one slice.
+        """
+        values = list(values)
+        count = len(values)
+        if not count:
+            return
+        if not (0 <= lane < self._lanes and 0 <= bank_local
+                and bank_local + count <= self._bank_words):
+            self._geometry.join(lane, bank_local)  # raises the precise
+            self._geometry.join(lane, bank_local + count - 1)  # error
+        m = self._lane_stride
+        words = self._words
+        done = 0
+        while done < count:
+            super_block, offset = divmod(bank_local + done, m)
+            run = min(m - offset, count - done)
+            start = super_block * self._block_words + lane * m + offset
+            words[start:start + run] = values[done:done + run]
+            done += run
+
     def _check(self, addr: int) -> None:
         if not 0 <= addr < len(self._words):
             raise SrfAccessError(

@@ -74,6 +74,9 @@ class ReturnNetwork:
         self.bank_queue_depth = bank_queue_depth
         self._queues = [deque() for _ in range(lanes)]
         self._reserved = [0] * lanes
+        #: Words waiting across all bank queues, kept as a counter so the
+        #: SRF can skip a tick with nothing to deliver in O(1).
+        self.queued = 0
         self.stats = CrossbarStats()
 
     def install_observer(self, observer, prefix: str = "return_network") -> None:
@@ -116,10 +119,7 @@ class ReturnNetwork:
         self._queues[bank].append(
             _Return(destination_lane, ticket, value, stream_id, fill)
         )
-
-    def pending(self) -> int:
-        """Total words waiting in bank return queues."""
-        return sum(len(q) for q in self._queues)
+        self.queued += 1
 
     def tick(self, comm_busy: bool) -> int:
         """Deliver queued returns for one cycle; returns words delivered.
@@ -135,10 +135,9 @@ class ReturnNetwork:
             self.stats.comm_cycles += 1
             slots = 0
         if slots == 0:
-            waiting = self.pending()
-            self.stats.deferred_word_cycles += waiting
+            self.stats.deferred_word_cycles += self.queued
             return 0
-        if not any(self._queues):
+        if not self.queued:
             return 0
         remaining = [slots] * self.lanes
         delivered = 0
@@ -154,6 +153,7 @@ class ReturnNetwork:
                     undeliverable.append(item)
                     self.stats.deferred_word_cycles += 1
             queue.extend(undeliverable)
+        self.queued -= delivered
         self.stats.words_delivered += delivered
         return delivered
 
@@ -164,8 +164,10 @@ class AddressNetwork:
     The network itself is non-blocking; the limits are at its ports:
     each source cluster can inject ``source_bandwidth`` indices per
     cycle and each SRF bank exposes ``ports_per_bank`` access ports.
-    :meth:`begin_cycle` resets the port budgets; local arbitration calls
-    :meth:`try_route` for each candidate cross-lane access.
+    :meth:`begin_cycle` resets the port budgets; the SRF calls it at the
+    first cross-lane route attempt of a cycle (a cycle that routes
+    nothing never reads them), then :meth:`try_route` for each candidate
+    cross-lane access.
     """
 
     def __init__(self, lanes: int, ports_per_bank: int = 1, source_bandwidth: int = 1):

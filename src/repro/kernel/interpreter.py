@@ -43,6 +43,18 @@ class ExecutionContext:
         """
         raise ExecutionError(f"context cannot index stream {stream.name}")
 
+    def idx_read_lanes(self, stream: KernelStream, indices) -> list:
+        """:meth:`idx_read` of every lane at once, one value per lane.
+
+        ``indices`` holds each lane's record index, or None for a lane
+        that is predicated off, which reads 0. Contexts that can read
+        all lanes in one pass override this.
+        """
+        return [
+            0 if index is None else self.idx_read(stream, lane, index)
+            for lane, index in enumerate(indices)
+        ]
+
     def idx_write(self, stream: KernelStream, lane: int, record_index: int,
                   value) -> None:
         """Store ``value`` at ``stream[record_index]`` from ``lane``."""
@@ -131,19 +143,15 @@ class KernelInterpreter:
                 values[op.op_id] = indices
                 trace.entries.append((op, indices))
             elif kind is OpKind.IDX_DATA:
-                issue = op.operands[0]
-                indices = values[issue.op_id]
-                data, counts = [], []
-                for lane in range(lanes):
-                    if indices[lane] is None:
-                        data.append(0)
-                        counts.append(0)
-                    else:
-                        data.append(self.context.idx_read(
-                            op.stream, lane, indices[lane]))
-                        counts.append(op.stream.record_words)
-                values[op.op_id] = data
-                trace.entries.append((op, counts))
+                indices = values[op.operands[0].op_id]
+                values[op.op_id] = self.context.idx_read_lanes(
+                    op.stream, indices
+                )
+                record_words = op.stream.record_words
+                trace.entries.append((op, [
+                    0 if index is None else record_words
+                    for index in indices
+                ]))
             elif kind is OpKind.IDX_WRITE:
                 detail = self._do_idx_write(op, values)
                 values[op.op_id] = [None] * lanes

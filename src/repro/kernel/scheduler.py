@@ -371,8 +371,18 @@ class ModuloScheduler:
         if hold > ii:
             return None  # unpipelined op cannot fit this II
         occupied = reservations.setdefault(key, {})
-        for offset in range(ii):
-            slot = max(earliest, 0) + offset
+        start = max(earliest, 0)
+        if hold == 1:
+            # Nearly every op holds its unit one cycle: one modulo-cell
+            # probe per candidate slot.
+            for slot in range(start, start + ii):
+                cell = slot % ii
+                used = occupied.get(cell, 0)
+                if used < units:
+                    occupied[cell] = used + 1
+                    return slot
+            return None
+        for slot in range(start, start + ii):
             cells = [(slot + k) % ii for k in range(hold)]
             if all(occupied.get(cell, 0) < units for cell in cells):
                 for cell in cells:

@@ -57,6 +57,9 @@ class _SrfBackedContext(ExecutionContext):
     def idx_read(self, stream: KernelStream, lane: int, record_index: int):
         return self._executor.functional_idx_read(stream, lane, record_index)
 
+    def idx_read_lanes(self, stream: KernelStream, indices) -> list:
+        return self._executor.functional_idx_read_lanes(stream, indices)
+
     def idx_write(self, stream, lane, record_index, value) -> None:
         # The architectural write flows through the timed IdxWrite event;
         # the overlay keeps later functional reads of a read-write
@@ -65,26 +68,30 @@ class _SrfBackedContext(ExecutionContext):
 
 
 class _Event:
-    """A timed stream access; ``fire`` returns True when it completed."""
+    """A timed stream access; ``fire`` returns True when it completed.
 
-    __slots__ = ("vt",)
+    Each event is built as ``cls(target, detail)``: the port or indexed
+    stream the op accesses (None for a comm) and the op's detail in the
+    iteration trace (see :class:`~repro.kernel.interpreter.IterationTrace`).
+    Indexed events hand their whole lane vector to the stream in one
+    call, which applies it to every active lane or to none.
+    """
 
-    def fire(self, executor) -> bool:  # pragma: no cover - interface
+    __slots__ = ()
+    #: Whether the event is an explicit inter-cluster communication.
+    is_comm = False
+
+    def fire(self) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
-
-    @property
-    def is_comm(self) -> bool:
-        return False
 
 
 class _SeqRead(_Event):
-    __slots__ = ("vt", "port")
+    __slots__ = ("port",)
 
-    def __init__(self, vt, port):
-        self.vt = vt
+    def __init__(self, port, _detail):
         self.port = port
 
-    def fire(self, executor) -> bool:
+    def fire(self) -> bool:
         if not self.port.can_pop():
             return False
         self.port.pop_simd()
@@ -92,14 +99,13 @@ class _SeqRead(_Event):
 
 
 class _SeqWrite(_Event):
-    __slots__ = ("vt", "port", "values")
+    __slots__ = ("port", "values")
 
-    def __init__(self, vt, port, values):
-        self.vt = vt
+    def __init__(self, port, values):
         self.port = port
         self.values = values
 
-    def fire(self, executor) -> bool:
+    def fire(self) -> bool:
         if not self.port.can_push():
             return False
         self.port.push_simd(self.values)
@@ -107,77 +113,58 @@ class _SeqWrite(_Event):
 
 
 class _IdxIssue(_Event):
-    __slots__ = ("vt", "stream", "indices")
+    __slots__ = ("stream", "indices")
 
-    def __init__(self, vt, stream, indices):
-        self.vt = vt
+    def __init__(self, stream, indices):
         self.stream = stream
         self.indices = indices  # per-lane record index or None
 
-    def fire(self, executor) -> bool:
-        stream = self.stream
-        indices = self.indices
-        for lane, idx in enumerate(indices):
-            if idx is not None and not stream.can_issue(lane):
-                return False
-        for lane, idx in enumerate(indices):
-            if idx is not None:
-                stream.issue_read(lane, idx)
-        return True
+    def fire(self) -> bool:
+        return self.stream.try_issue(self.indices)
 
 
 class _IdxData(_Event):
-    __slots__ = ("vt", "stream", "counts")
+    __slots__ = ("stream", "counts")
 
-    def __init__(self, vt, stream, counts):
-        self.vt = vt
+    def __init__(self, stream, counts):
         self.stream = stream
         self.counts = counts  # per-lane words expected (0 = predicated off)
 
-    def fire(self, executor) -> bool:
-        stream = self.stream
-        counts = self.counts
-        for lane, n in enumerate(counts):
-            if n and not stream.record_ready(lane):
-                return False
-        for lane, n in enumerate(counts):
-            if n:
-                stream.pop_record(lane)
-        return True
+    def fire(self) -> bool:
+        return self.stream.try_pop(self.counts)
 
 
 class _IdxWrite(_Event):
-    __slots__ = ("vt", "stream", "entries")
+    __slots__ = ("stream", "entries")
 
-    def __init__(self, vt, stream, entries):
-        self.vt = vt
+    def __init__(self, stream, entries):
         self.stream = stream
         self.entries = entries  # per-lane (index, [words]) or None
 
-    def fire(self, executor) -> bool:
-        stream = self.stream
-        entries = self.entries
-        for lane, entry in enumerate(entries):
-            if entry is not None and not stream.can_issue(lane):
-                return False
-        for lane, entry in enumerate(entries):
-            if entry is not None:
-                stream.issue_write(lane, entry[0], entry[1])
-        return True
+    def fire(self) -> bool:
+        return self.stream.try_write(self.entries)
 
 
 class _Comm(_Event):
-    __slots__ = ("vt",)
+    __slots__ = ()
+    is_comm = True
 
-    def __init__(self, vt):
-        self.vt = vt
+    def __init__(self, _target, _detail):
+        pass
 
-    def fire(self, executor) -> bool:
+    def fire(self) -> bool:
         return True  # statically scheduled comms always have priority
 
-    @property
-    def is_comm(self) -> bool:
-        return True
+
+#: Event class of each timed op kind.
+_EVENT_CLASSES = {
+    OpKind.SEQ_READ: _SeqRead,
+    OpKind.SEQ_WRITE: _SeqWrite,
+    OpKind.IDX_ISSUE: _IdxIssue,
+    OpKind.IDX_DATA: _IdxData,
+    OpKind.IDX_WRITE: _IdxWrite,
+    OpKind.COMM: _Comm,
+}
 
 
 class KernelExecutor:
@@ -252,7 +239,7 @@ class KernelExecutor:
             self._data_ops = invocation.kernel.stream_ops(
                 *REPLAY_DATA_KINDS
             )
-        self._timed_ops = schedule.timed_stream_ops()
+        self._event_plan = self._build_event_plan()
         self._heap = []
         self._sequence = itertools.count()
         self._vt = 0
@@ -272,9 +259,10 @@ class KernelExecutor:
         self._seq_cursors = {name: 0 for name in invocation.kernel.streams}
         #: Program-order shadow of indexed writes, so functional reads of
         #: a read-write stream observe writes that the timed SRF path has
-        #: not retired yet. The timing path needs no equivalent: reads
-        #: and writes of one stream share an address FIFO, which keeps
-        #: their SRF-side order equal to program order.
+        #: not retired yet: stream name -> {(lane, record_index): value}.
+        #: The timing path needs no equivalent: reads and writes of one
+        #: stream share an address FIFO, which keeps their SRF-side order
+        #: equal to program order.
         self._write_overlay = {}
 
     # ------------------------------------------------------------------
@@ -284,6 +272,10 @@ class KernelExecutor:
         self._ports = {}  # stream name -> SequentialPort
         self._indexed = {}  # stream name -> IndexedStream
         self._descriptors = {}
+        #: Per-lane indexed stream name -> (bank-local base, record
+        #: words, records whose words all lie inside the bank).
+        self._lane_layouts = {}
+        geometry = self._geometry
         for name, formal in self.invocation.kernel.streams.items():
             descriptor = self.invocation.bindings[name]
             if not isinstance(descriptor, StreamDescriptor):
@@ -314,6 +306,35 @@ class KernelExecutor:
                 )
             else:
                 self._indexed[name] = self.srf.open_indexed(descriptor)
+                if descriptor.index_space is IndexSpace.PER_LANE:
+                    local_base = (
+                        descriptor.base // geometry.block_words
+                    ) * geometry.words_per_lane_access
+                    rw = descriptor.record_words
+                    self._lane_layouts[name] = (
+                        local_base, rw,
+                        max(0, (geometry.bank_words - local_base) // rw),
+                    )
+
+    def _build_event_plan(self) -> list:
+        """``(slot, event_cls, target, op_id)`` of every timed op, in slot
+        order: what issuing an iteration turns into timed events."""
+        plan = []
+        for op in self.schedule.timed_stream_ops():
+            event_cls = _EVENT_CLASSES.get(op.kind)
+            if event_cls is None:
+                raise ExecutionError(f"unexpected timed op {op.name}")
+            target = None
+            if op.stream is not None:
+                name = op.stream.name
+                target = (
+                    self._ports[name] if name in self._ports
+                    else self._indexed[name]
+                )
+            plan.append(
+                (self.schedule.slots[op.op_id], event_cls, target, op.op_id)
+            )
+        return plan
 
     def _release_streams(self) -> None:
         for port in self._ports.values():
@@ -341,29 +362,72 @@ class KernelExecutor:
 
     def functional_idx_write(self, stream: KernelStream, lane: int,
                              record_index: int, value) -> None:
-        self._write_overlay[(stream.name, lane, record_index)] = value
+        self._write_overlay.setdefault(stream.name, {})[
+            (lane, record_index)
+        ] = value
 
     def functional_idx_read(self, stream: KernelStream, lane: int,
                             record_index: int):
-        overlay_key = (stream.name, lane, record_index)
-        if overlay_key in self._write_overlay:
-            return self._write_overlay[overlay_key]
+        overlay = self._write_overlay.get(stream.name)
+        if overlay is not None and (lane, record_index) in overlay:
+            return overlay[(lane, record_index)]
         descriptor = self._descriptors[stream.name]
         rw = descriptor.record_words
         storage = self.srf.storage
-        if descriptor.index_space is IndexSpace.PER_LANE:
-            geometry = self._geometry
-            local_base = (
-                descriptor.base // geometry.block_words
-            ) * geometry.words_per_lane_access
-            words = [
-                storage.read_lane(lane, local_base + record_index * rw + j)
-                for j in range(rw)
-            ]
+        layout = self._lane_layouts.get(stream.name)
+        if layout is not None:
+            start = layout[0] + record_index * rw
+            words = [storage.read_lane(lane, start + j) for j in range(rw)]
         else:
             base = descriptor.base + record_index * rw
             words = [storage.read(base + j) for j in range(rw)]
         return words[0] if rw == 1 else tuple(words)
+
+    def functional_idx_read_lanes(self, stream: KernelStream,
+                                  indices) -> list:
+        """:meth:`functional_idx_read` of every lane at once.
+
+        ``indices`` holds each lane's record index, or None for a lane
+        that is predicated off, which reads 0. A per-lane stream is read
+        straight from SRF storage in one pass over the lanes; a
+        cross-lane stream, a stream with overlaid writes, and an index
+        outside the lane's bank take the per-lane path.
+        """
+        layout = self._lane_layouts.get(stream.name)
+        if layout is None or stream.name in self._write_overlay:
+            read = self.functional_idx_read
+            return [
+                0 if index is None else read(stream, lane, index)
+                for lane, index in enumerate(indices)
+            ]
+        local_base, rw, limit = layout
+        geometry = self._geometry
+        m = geometry.words_per_lane_access
+        block_words = geometry.block_words
+        storage_words = self.srf.storage._words
+        values = []
+        lane = 0
+        for index in indices:
+            if index is None:
+                values.append(0)
+            elif not 0 <= index < limit:
+                values.append(self.functional_idx_read(stream, lane, index))
+            elif rw == 1:
+                super_block, offset = divmod(local_base + index, m)
+                values.append(
+                    storage_words[super_block * block_words + lane * m + offset]
+                )
+            else:
+                record = []
+                start = local_base + index * rw
+                for addr in range(start, start + rw):
+                    super_block, offset = divmod(addr, m)
+                    record.append(storage_words[
+                        super_block * block_words + lane * m + offset
+                    ])
+                values.append(tuple(record))
+            lane += 1
+        return values
 
     # ------------------------------------------------------------------
     # Cycle stepping
@@ -448,16 +512,18 @@ class KernelExecutor:
         return comm_busy
 
     def _issue_ready_iterations(self) -> None:
-        while (
-            self._issued < self.invocation.iterations
-            and self._issued * self.schedule.ii <= self._vt
-        ):
+        ii = self.schedule.ii
+        iterations = self.invocation.iterations
+        heap = self._heap
+        sequence = self._sequence
+        while self._issued < iterations and self._issued * ii <= self._vt:
             details = self._iteration_details()
-            base_vt = self._issued * self.schedule.ii
-            for op in self._timed_ops:
-                vt = base_vt + self.schedule.slots[op.op_id]
-                event = self._make_event(op, vt, details)
-                heapq.heappush(self._heap, (vt, next(self._sequence), event))
+            base_vt = self._issued * ii
+            for slot, event_cls, target, op_id in self._event_plan:
+                heapq.heappush(heap, (
+                    base_vt + slot, next(sequence),
+                    event_cls(target, details.get(op_id)),
+                ))
             self._issued += 1
 
     def _iteration_details(self) -> dict:
@@ -490,26 +556,6 @@ class KernelExecutor:
             ])
         return details
 
-    def _make_event(self, op, vt, details) -> _Event:
-        kind = op.kind
-        if kind is OpKind.SEQ_READ:
-            return _SeqRead(vt, self._ports[op.stream.name])
-        if kind is OpKind.SEQ_WRITE:
-            return _SeqWrite(vt, self._ports[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.IDX_ISSUE:
-            return _IdxIssue(vt, self._indexed[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.IDX_DATA:
-            return _IdxData(vt, self._indexed[op.stream.name],
-                            details[op.op_id])
-        if kind is OpKind.IDX_WRITE:
-            return _IdxWrite(vt, self._indexed[op.stream.name],
-                             details[op.op_id])
-        if kind is OpKind.COMM:
-            return _Comm(vt)
-        raise ExecutionError(f"unexpected timed op {op.name}")
-
     def _fire_events(self) -> bool:
         """Fire all events due at the current virtual time.
 
@@ -517,22 +563,20 @@ class KernelExecutor:
         On the first event that cannot fire the machine stalls: virtual
         time freezes and the cycle is charged to SRF stall.
         """
+        heap = self._heap
+        vt = self._vt
         comm_busy = False
-        stalled = False
-        while self._heap and self._heap[0][0] <= self._vt:
-            _vt, _seq, event = self._heap[0]
-            if event.fire(self):
-                heapq.heappop(self._heap)
-                comm_busy = comm_busy or event.is_comm
-            else:
-                stalled = True
-                break
-        if stalled:
-            self.stats.srf_stall_cycles += 1
-            if self._stall_counter is not None:
-                self._stall_counter.add()
-        else:
-            self._vt += 1
+        while heap and heap[0][0] <= vt:
+            event = heap[0][2]
+            if not event.fire():
+                self.stats.srf_stall_cycles += 1
+                if self._stall_counter is not None:
+                    self._stall_counter.add()
+                return comm_busy
+            heapq.heappop(heap)
+            if event.is_comm:
+                comm_busy = True
+        self._vt = vt + 1
         return comm_busy
 
     def _maybe_finish(self) -> None:

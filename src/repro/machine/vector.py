@@ -613,24 +613,16 @@ class VectorKernelInterpreter:
         """
         issue_rows = columns[op.operands[0].op_id].rows()
         record_words = op.stream.record_words
-        idx_read = self.context.idx_read
+        idx_read_lanes = self.context.idx_read_lanes
         stream = op.stream
-        lanes = self.lanes
         data_rows = []
         count_rows = []
         for k in range(count):
             issue = issue_rows[k]
-            data = []
-            counts = []
-            for lane in range(lanes):
-                if issue[lane] is None:
-                    data.append(0)
-                    counts.append(0)
-                else:
-                    data.append(idx_read(stream, lane, issue[lane]))
-                    counts.append(record_words)
-            data_rows.append(data)
-            count_rows.append(counts)
+            data_rows.append(idx_read_lanes(stream, issue))
+            count_rows.append([
+                0 if index is None else record_words for index in issue
+            ])
         columns[(op.op_id, "counts")] = _Column(rows=count_rows)
         return _Column(rows=data_rows)
 

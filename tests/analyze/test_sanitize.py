@@ -123,6 +123,28 @@ class TestRuntimeDetection:
         with pytest.raises(SanitizerError, match="pending_words"):
             proc.run_program(prog)
 
+    def test_corrupted_decoded_word_is_caught(self):
+        # Words are decoded once at issue; arbitration trusts the cached
+        # storage index, so a stale one must not go unnoticed.
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        table = SrfArray(proc.srf, 256, "table")
+        stream = proc.srf.open_indexed(table.inlane_read())
+        stream.try_issue([5] * proc.srf.geometry.lanes)
+        proc._sanitizer.check(0)  # freshly issued words decode cleanly
+        entries = stream.fifos[3]._entries
+        word = entries[0][0]
+        entries[0] = (word[:5] + (word[5] + 1,),)
+        with pytest.raises(SanitizerError) as excinfo:
+            proc._sanitizer.check(1)
+        (violation,) = excinfo.value.report.violations
+        assert "lane 3" in violation and "storage index" in violation
+
+    def test_skewed_return_queue_counter_is_caught(self):
+        proc = StreamProcessor(isrf4_config(sanitize=True))
+        proc.srf.return_network.queued += 1
+        with pytest.raises(SanitizerError, match="queued-word counter"):
+            proc._sanitizer.check(0)
+
     def test_sanitizer_catches_it_long_before_the_deadlock_horizon(self):
         # Without the sanitizer the same corruption only surfaces as a
         # deadlock after the full no-progress horizon, with nothing

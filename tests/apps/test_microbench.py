@@ -48,6 +48,10 @@ class TestInlaneThroughput:
     def test_invalid_parameters(self):
         with pytest.raises(ExecutionError):
             inlane_random_read_throughput(streams=0)
+        with pytest.raises(ExecutionError, match="cycles"):
+            inlane_random_read_throughput(cycles=0)
+        with pytest.raises(ExecutionError, match="separation"):
+            inlane_random_read_throughput(separation=-1)
 
 
 class TestCrosslaneThroughput:
@@ -79,3 +83,13 @@ class TestCrosslaneThroughput:
     def test_occupancy_bounds_checked(self):
         with pytest.raises(ExecutionError):
             crosslane_random_read_throughput(comm_occupancy=1.5)
+        with pytest.raises(ExecutionError, match="cycles"):
+            crosslane_random_read_throughput(cycles=0)
+        with pytest.raises(ExecutionError, match="issue_probability"):
+            crosslane_random_read_throughput(issue_probability=1.5)
+        with pytest.raises(ExecutionError, match="issue_probability"):
+            crosslane_random_read_throughput(issue_probability=-0.1)
+        with pytest.raises(ExecutionError, match="separation"):
+            crosslane_random_read_throughput(separation=-1)
+        with pytest.raises(ExecutionError, match="sequential_streams"):
+            crosslane_random_read_throughput(sequential_streams=-1)

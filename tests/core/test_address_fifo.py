@@ -9,18 +9,24 @@ from repro.core.srf import StreamRegisterFile
 from repro.errors import SrfError
 
 
+#: Decoded fields of a hand-built word: the FIFO never reads them.
+DECODED = (1, 0)
+
+
 def read_record(words, tickets):
-    """A read entry: per-word ``(target_lane, addr, ticket, None)``."""
+    """A read entry: per-word ``(target_lane, addr, ticket, None, bit,
+    index)``."""
     return tuple(
-        (target, addr, ticket, None)
+        (target, addr, ticket, None) + DECODED
         for (target, addr), ticket in zip(words, tickets)
     )
 
 
 def write_record(words, values):
-    """A write entry: per-word ``(target_lane, addr, None, value)``."""
+    """A write entry: per-word ``(target_lane, addr, None, value, bit,
+    index)``."""
     return tuple(
-        (target, addr, None, value)
+        (target, addr, None, value) + DECODED
         for (target, addr), value in zip(words, values)
     )
 
@@ -50,10 +56,10 @@ class TestRecordAccess:
         with pytest.raises(SrfError):
             writes.issue_read(0, 0)
         reads.issue_read(0, 3)
-        _, _, ticket, value = reads.fifos[0].peek_word()
+        _, _, ticket, value, _, _ = reads.fifos[0].peek_word()
         assert ticket == 0 and value is None
         writes.issue_write(0, 3, ["v"])
-        _, _, ticket, value = writes.fifos[0].peek_word()
+        _, _, ticket, value, _, _ = writes.fifos[0].peek_word()
         assert ticket is None and value == "v"
 
     def test_payload_length_must_match(self):
@@ -68,7 +74,7 @@ class TestAddressFifo:
     def test_single_word_records(self):
         fifo = AddressFifo(capacity_entries=2, stream_id=7, lane=3)
         fifo.push(read_record([(3, 10)], [0]))
-        target_lane, addr, ticket, value = fifo.peek_word()
+        target_lane, addr, ticket, value, _, _ = fifo.peek_word()
         assert addr == 10
         assert target_lane == 3
         assert fifo.lane == 3
@@ -85,7 +91,7 @@ class TestAddressFifo:
         fifo.push(read_record([(0, 4), (0, 5), (1, 6)], [10, 11, 12]))
         seen = []
         while not fifo.is_empty:
-            target_lane, addr, ticket, _ = fifo.peek_word()
+            target_lane, addr, ticket, _, _, _ = fifo.peek_word()
             seen.append((target_lane, addr, ticket))
             fifo.advance()
         assert seen == [(0, 4, 10), (0, 5, 11), (1, 6, 12)]
@@ -111,7 +117,7 @@ class TestAddressFifo:
     def test_write_records_carry_values(self):
         fifo = AddressFifo(capacity_entries=2, stream_id=0, lane=0)
         fifo.push(write_record([(0, 8), (0, 9)], ["a", "b"]))
-        _, _, ticket, value = fifo.peek_word()
+        _, _, ticket, value, _, _ = fifo.peek_word()
         assert ticket is None  # a write
         assert value == "a"
         fifo.advance()
@@ -181,3 +187,22 @@ class TestIssuePaths:
         assert [w[2] for w in words] == [0, 1]
         assert words[1][1] == words[0][1] + 1
         assert stream.pending_words == 2
+
+    def test_words_are_decoded_at_issue(self):
+        # Every queued word carries its sub-array bit and storage index,
+        # so arbitration never re-derives them (per-lane and cross-lane).
+        srf, reads = open_stream("pairs")
+        geometry = srf.geometry
+        reads.issue_read(3, 7)
+        array = SrfArray(srf, 16 * geometry.lanes, "nodes")
+        nodes = srf.open_indexed(array.crosslane_read(record_words=2))
+        nodes.issue_read(0, 13)
+        for stream, lane in ((reads, 3), (nodes, 0)):
+            fifo = stream.fifos[lane]
+            while not fifo.is_empty:
+                target, addr, _, _, bit, index = fifo.peek_word()
+                assert bit == 1 << geometry.subarray_of(addr)
+                assert index == geometry.join(target, addr)
+                fifo.advance()
+        first = nodes.resolve(0, 13)[0]
+        assert first[3] == nodes.descriptor.base + 13 * 2

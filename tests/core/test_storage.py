@@ -90,6 +90,26 @@ class TestStorage:
         assert store.read(g.join(2, 7)) == "x"
         assert store.read_lane(2, 7) == "x"
 
+    @pytest.mark.parametrize("start,count", [(0, 64), (3, 9), (7, 1),
+                                             (60, 4)])
+    def test_lane_range_equals_word_by_word_writes(self, start, count):
+        g = small_geometry()
+        bulk, single = SrfStorage(g), SrfStorage(g)
+        values = [f"w{i}" for i in range(count)]
+        bulk.write_lane_range(2, start, values)
+        for offset, value in enumerate(values):
+            single.write_lane(2, start + offset, value)
+        assert bulk.read_range(0, g.total_words) == \
+            single.read_range(0, g.total_words)
+
+    def test_lane_range_out_of_bank_rejected(self):
+        store = SrfStorage(small_geometry())
+        with pytest.raises(SrfAccessError):
+            store.write_lane_range(1, 62, [0, 0, 0])
+        with pytest.raises(SrfAccessError):
+            store.write_lane_range(4, 0, [0])
+        assert store.read_range(0, 8) == [0] * 8
+
     def test_range_roundtrip(self):
         store = SrfStorage(small_geometry())
         store.write_range(8, [1, 2, 3])

@@ -47,7 +47,7 @@ class TestReturnNetwork:
                     stream_id=0, fill=fill)
         net.tick(comm_busy=False)
         assert received == [(7, "v")]
-        assert net.pending() == 0
+        assert net.queued == 0
 
     def test_destination_slot_cap(self):
         net = ReturnNetwork(lanes=2, slots_per_destination=2)

@@ -62,6 +62,16 @@ class TestAccessSemantics:
         assert ctx.idx_read(lut, 1, 0) == 42
         assert ctx.idx_read(lut, 0, 0) == 0  # per-lane isolation
 
+    def test_idx_read_lanes_defaults_to_per_lane_reads(self):
+        _, _in, lut, g, _o = streams()
+        ctx = ListContext(3)
+        ctx.bind_table(lut, [[10, 11], [20, 21], [30, 31]])
+        ctx.bind_global(g, [7, 8, 9])
+        assert ctx.idx_read_lanes(lut, [1, None, 0]) == [11, 0, 30]
+        assert ctx.idx_read_lanes(g, [2, 2, None]) == [9, 9, 0]
+        with pytest.raises(ExecutionError):
+            ctx.idx_read_lanes(lut, [0, 5, 0])
+
     def test_idx_write_bounds_checked(self):
         _, _in, lut, *_ = streams()
         ctx = ListContext(1)
